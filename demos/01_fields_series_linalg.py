@@ -1,8 +1,8 @@
 """Tour of the arithmetic layer: deterministic small finite fields,
 Frobenius, truncated Laurent series, and exact rank computations."""
 
-from bktame import (LinearMap, TruncSeries, build_field, frobenius,
-                    rank_kernel_cokernel, semilinear_substitute)
+from bktame import TruncSeries, build_field
+from bktame.gfarith import gauss_rank
 
 # Fields are pinned to the lexicographically smallest monic irreducible
 # modulus, so GF(9) is always F_3[x]/(x^2 + 1).
@@ -11,20 +11,22 @@ print("GF(9) modulus coefficients (constant term first):", F9.modulus)
 
 g = F9.multiplicative_generator()
 print("multiplicative generator:", g, "of order", g.multiplicative_order())
-print("frobenius(g) equals g^3:", frobenius(g) == g ** 3)
-print("frobenius applied twice is the identity:", frobenius(frobenius(g)) == g)
+# Frobenius is x -> x^p; on GF(p^2) applying it twice is the identity.
+print("Frobenius applied twice is the identity:", (g ** 3) ** 3 == g)
 
-# Truncated series track exactly which coefficients are known.  The
-# semilinear substitution u -> u^p leaves coefficients alone (the graded
-# pieces absorb the coefficient Frobenius) and scales the known window.
+# Truncated series track exactly which coefficients are known: a product
+# is known only below min(N1 + low2, N2 + low1).
 s = TruncSeries(F9, {-1: 1, 2: g}, trunc_order=5)
-print("\nseries:", s)
-print("after u -> u^3:", semilinear_substitute(s))
+t = TruncSeries(F9, {1: 1}, trunc_order=4)
+print("\nseries s:", s)
+print("series t:", t)
+print("s * t:", s * t)
+print("s + t:", s + t)
 
-# Dense linear algebra over any of these fields: rank, kernel, cokernel.
+# Dense row reduction over any of these fields: rank, kernel, cokernel.
 F3 = build_field(3, 1)
 rows = [[F3.elem(1), F3.elem(2), F3.elem(0)],
         [F3.elem(2), F3.elem(1), F3.elem(0)]]
-lmap = LinearMap(3, 2, rows)
+rank = gauss_rank([list(r) for r in rows])
 print("\nrank/kernel/cokernel of a 2x3 map over GF(3):",
-      rank_kernel_cokernel(lmap))
+      (rank, 3 - rank, 2 - rank))

@@ -2,23 +2,23 @@
 including the exceptional kernel-Ext branch and the dimension bound for
 irreducible enrichments."""
 
-from bktame import (CUSPIDAL, PS, LocalContext, build_MN, ext_dim,
-                    ext_dim_oracle, hom_dim, hom_dim_oracle, irred_bound,
-                    kext_dim, kext_dim_oracle, make_type, maximal_refined,
-                    validate)
+from bktame import (CUSPIDAL, PS, LocalContext, build_MN, ext_dim, hom_dim,
+                    irred_bound, kext_dim, kext_dim_oracle, make_type,
+                    maximal_refined, oracle_dims, validate)
 
 ctx = LocalContext(3, 1, 1)
 tau = make_type(ctx, PS, 1, 0)
 m, n = build_MN(tau, maximal_refined(tau, {0}))
+ext_o, hom_o = oracle_dims(m, n)
 print("principal-series maximal pair of shape {0}:")
-print("  ext formula %d vs oracle %d" % (ext_dim(m, n), ext_dim_oracle(m, n)))
-print("  hom formula %d vs oracle %d" % (hom_dim(m, n), hom_dim_oracle(m, n)))
+print("  ext formula %d vs oracle %d" % (ext_dim(m, n), ext_o))
+print("  hom formula %d vs oracle %d" % (hom_dim(m, n), hom_o))
 
 # Twisting one unramified coefficient kills the Hom contribution.
 g = ctx.coefficient_field(PS).elem(2)
 n_twist = validate(ctx, PS, n.r, (g,), n.c)
 print("  after twisting N: ext %d vs oracle %d"
-      % (ext_dim(m, n_twist), ext_dim_oracle(m, n_twist)))
+      % (ext_dim(m, n_twist), oracle_dims(m, n_twist)[0]))
 
 # The kernel-Ext count for cuspidal types, with its exceptional branch:
 # at equal unramified products and e = 1 an all-transition shape drops

@@ -10,26 +10,22 @@ from .errors import (BadResidue, BKError, CongruenceFailed,
                      NotInPTau, NotPrime, NotSupported, NotTypeTau,
                      PeriodError, RangeError, ScalarType, SteinbergWeight,
                      TruncationExceeded, TruncationUnstable, ZeroCoefficient)
-from .gfarith import (FieldElem, FieldSpec, LinearMap, TruncSeries,
-                      build_field, frobenius, rank_kernel_cokernel,
-                      semilinear_substitute)
-from .rankone import (GaloisChar, RankOneBK, alpha, galois_char, hom_dim,
-                      is_isomorphic, same_generic_fibre, twist_conjugate,
-                      validate)
+from .gfarith import FieldElem, FieldSpec, TruncSeries, build_field
+from .rankone import (GaloisChar, RankOneBK, alpha, exhaustive_modules,
+                      galois_char, hom_dim, is_isomorphic, random_module,
+                      same_generic_fibre, twist_conjugate, validate)
 from .rng import SplitMix64
 from .shapes import (ExtClass, RefinedShape, Shape, build_MN,
                      check_height_and_det, ext_dim, ext_dim_height1,
-                     ext_dim_oracle, family_dim, gamma_star, hom_dim_oracle,
-                     irred_bound, kext_dim, kext_dim_oracle, maximal_refined,
-                     p_tau, refined_shapes, shape_of_pair, shapes_for,
-                     transitions)
-from .tametypes import (CUSPIDAL, PS, GammaVector, LocalContext, TameType,
+                     family_dim, gamma_star, irred_bound, kext_dim,
+                     kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
+                     refined_shapes, shape_of_pair, shapes_for, transitions)
+from .tametypes import (CUSPIDAL, PS, LocalContext, TameType,
                         enumerate_types, gamma_digits, make_type)
-from .weights import (Cycle, DieudonnePattern, SerreWeight,
-                      WeightFormulaData, all_weights, c_sigma_cycle,
-                      canonical_weight, char_TN, components_count,
-                      dieudonne_pattern, divisor_support, jh_factors,
-                      sigma_tau_J, solve_n_tau, verify_orthogonality,
-                      weight_formula_data, z_tau_cycle)
+from .weights import (Cycle, DieudonnePattern, SerreWeight, all_weights,
+                      c_sigma_cycle, canonical_weight, char_TN,
+                      components_count, dieudonne_pattern, divisor_support,
+                      jh_factors, sigma_tau_J, solve_n_tau,
+                      verify_orthogonality, weight_formula_data, z_tau_cycle)
 
 __version__ = "0.1.0"

@@ -15,11 +15,12 @@ import sys
 import time
 
 from . import errors
-from .rankone import galois_char, hom_dim, validate
+from .rankone import (exhaustive_modules, galois_char, hom_dim,
+                      random_module, validate)
 from .rng import SplitMix64
-from .shapes import (build_MN, ext_dim, ext_dim_oracle, family_dim,
-                     hom_dim_oracle, kext_dim, kext_dim_oracle,
-                     maximal_refined, p_tau, refined_shapes, shapes_for)
+from .shapes import (build_MN, ext_dim, family_dim, kext_dim,
+                     kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
+                     refined_shapes, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, enumerate_types,
                         gamma_digits, make_type)
 from .weights import (Cycle, all_weights, c_sigma_cycle, char_TN,
@@ -47,10 +48,10 @@ def _parse_type_selector(ctx, text):
     raise errors.BadResidue("bad type selector %r" % text)
 
 
-def _selected_types(ctx, config):
-    if config.type_selector:
-        return [_parse_type_selector(ctx, config.type_selector)]
-    return enumerate_types(ctx, canonical=not config.ordered)
+def _selected_types(ctx, args):
+    if args.type:
+        return [_parse_type_selector(ctx, args.type)]
+    return enumerate_types(ctx, canonical=not args.ordered)
 
 
 def _shape_str(J):
@@ -66,21 +67,6 @@ def _cycle_json(cycle):
             for w, m in sorted(cycle.mult.items(), key=lambda kv: (kv[0].t, kv[0].s))]
 
 
-class Config:
-    def __init__(self, args):
-        self.p = args.p
-        self.f = args.f
-        self.e = args.e
-        self.type_selector = args.type
-        self.ordered = args.ordered
-        self.exhaustive = args.exhaustive
-        self.samples = args.samples
-        self.seed = args.seed
-        self.fmt = args.format
-        self.out = args.out
-        self.trunc = args.trunc
-
-
 def _make_report(command, ctx, items, echo):
     items = sorted(items, key=lambda it: it["key"])
     fails = sum(1 for it in items if it.get("ok") is False)
@@ -93,9 +79,9 @@ def _make_report(command, ctx, items, echo):
     }
 
 
-def cmd_types(ctx, config):
+def cmd_types(ctx, args):
     items = []
-    for tau in _selected_types(ctx, config):
+    for tau in _selected_types(ctx, args):
         items.append({
             "key": tau.label(),
             "kind": tau.kind,
@@ -108,9 +94,9 @@ def cmd_types(ctx, config):
     return items
 
 
-def cmd_ptau(ctx, config):
+def cmd_ptau(ctx, args):
     items = []
-    for tau in _selected_types(ctx, config):
+    for tau in _selected_types(ctx, args):
         admissible = {s.key() for s in p_tau(tau)}
         for shape in shapes_for(tau):
             rs = maximal_refined(tau, shape)
@@ -127,9 +113,9 @@ def cmd_ptau(ctx, config):
     return items
 
 
-def cmd_weights(ctx, config):
+def cmd_weights(ctx, args):
     items = []
-    for tau in _selected_types(ctx, config):
+    for tau in _selected_types(ctx, args):
         total = 0
         for shape in p_tau(tau):
             w = sigma_tau_J(tau, shape)
@@ -159,38 +145,6 @@ def cmd_weights(ctx, config):
     return items
 
 
-def _random_module(ctx, kind, rng):
-    fp, f = ctx.fprime(kind), ctx.f
-    ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
-    field = ctx.coefficient_field(kind)
-    units = list(field.nonzero_elements())
-    c_half = [rng.below(ekk) for _ in range(f)]
-    c = tuple(c_half[i % f] for i in range(fp))
-    r_half = []
-    for i in range(f):
-        base = (ctx.p * c[(i - 1) % fp] - c[i]) % ekk
-        r_half.append(rng.choice(range(base, ep + 1, ekk)))
-    r = tuple(r_half[i % f] for i in range(fp))
-    a_half = [rng.choice(units) for _ in range(f)]
-    a = tuple(a_half[i % f] for i in range(fp))
-    return validate(ctx, kind, r, a, c)
-
-
-def _exhaustive_modules(ctx, kind):
-    fp, f = ctx.fprime(kind), ctx.f
-    ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
-    field = ctx.coefficient_field(kind)
-    if f != 1:
-        raise errors.NotSupported("exhaustive sweeps are desk-scale: f = 1 only")
-    mods = []
-    for c0 in range(ekk):
-        base = (ctx.p * c0 - c0) % ekk
-        for r0 in range(base, ep + 1, ekk):
-            for a in field.nonzero_elements():
-                mods.append(validate(ctx, kind, (r0,) * fp, (a,) * fp, (c0,) * fp))
-    return mods
-
-
 def _module_json(m):
     return {"r": list(m.r), "a": [list(x.coeffs) for x in m.a], "c": list(m.c)}
 
@@ -198,8 +152,8 @@ def _module_json(m):
 def _pair_items(kind, pairs, trunc):
     items = []
     for idx, (m, n) in enumerate(pairs):
-        ev, ov = ext_dim(m, n), ext_dim_oracle(m, n, trunc)
-        hv, oh = hom_dim(m, n), hom_dim_oracle(m, n, trunc)
+        ev, hv = ext_dim(m, n), hom_dim(m, n)
+        ov, oh = oracle_dims(m, n, trunc)
         items.append({
             "key": "%s|pair%06d" % (kind, idx),
             "kind": kind,
@@ -212,17 +166,17 @@ def _pair_items(kind, pairs, trunc):
     return items
 
 
-def cmd_oracle(ctx, config):
+def cmd_oracle(ctx, args):
     items = []
-    rng = SplitMix64(config.seed)
+    rng = SplitMix64(args.seed)
     for kind in (PS, CUSPIDAL):
-        if config.exhaustive:
-            mods = _exhaustive_modules(ctx, kind)
+        if args.exhaustive:
+            mods = exhaustive_modules(ctx, kind)
             pairs = [(m, n) for m in mods for n in mods]
         else:
-            pairs = [(_random_module(ctx, kind, rng), _random_module(ctx, kind, rng))
-                     for _ in range(config.samples)]
-        items.extend(_pair_items(kind, pairs, config.trunc))
+            pairs = [(random_module(ctx, kind, rng), random_module(ctx, kind, rng))
+                     for _ in range(args.samples)]
+        items.extend(_pair_items(kind, pairs, args.trunc))
     # kExt sweep over every maximal refined shape, both product choices
     for tau in enumerate_types(ctx, canonical=True):
         if tau.is_scalar:
@@ -246,7 +200,7 @@ def cmd_oracle(ctx, config):
     return items
 
 
-def cmd_bm(ctx, config):
+def cmd_bm(ctx, args):
     items = []
     ok_orth = verify_orthogonality(ctx)
     items.append({"key": "orthogonality", "ok": ok_orth})
@@ -254,8 +208,8 @@ def cmd_bm(ctx, config):
         n = solve_n_tau(ctx, w)
         cyc = c_sigma_cycle(ctx, w)
         unit = Cycle.unit(w)
-        n_perm = solve_n_tau(ctx, w, permute_seed=config.seed or 1)
-        cyc_perm = c_sigma_cycle(ctx, w, permute_seed=config.seed or 1)
+        n_perm = solve_n_tau(ctx, w, permute_seed=args.seed or 1)
+        cyc_perm = c_sigma_cycle(ctx, w, permute_seed=args.seed or 1)
         items.append({
             "key": "weight|t=%s|s=%s" % (list(w.t), list(w.s)),
             "weight": _weight_json(w),
@@ -277,9 +231,9 @@ def cmd_bm(ctx, config):
     return items
 
 
-def cmd_components(ctx, config):
+def cmd_components(ctx, args):
     items = []
-    for tau in _selected_types(ctx, config):
+    for tau in _selected_types(ctx, args):
         if tau.is_scalar:
             items.append({
                 "key": "%s|count" % tau.label(),
@@ -386,19 +340,18 @@ def build_parser():
 def run(argv):
     """Parse, execute, and render; returns (report_text, exit_code)."""
     args = build_parser().parse_args(argv)
-    config = Config(args)
     started = time.time()
     try:
-        ctx = LocalContext(config.p, config.f, config.e)
-        items = COMMANDS[args.command](ctx, config)
+        ctx = LocalContext(args.p, args.f, args.e)
+        items = COMMANDS[args.command](ctx, args)
     except errors.BKError as exc:
         return "error: %s\n" % exc, 2
     report = _make_report(args.command, ctx, items,
-                          {"argv": list(argv), "seed": config.seed})
-    text = render(report, config.fmt)
+                          {"argv": list(argv), "seed": args.seed})
+    text = render(report, args.format)
     print("elapsed: %dms" % int(1000 * (time.time() - started)), file=sys.stderr)
-    if config.out:
-        path = config.out
+    if args.out:
+        path = args.out
         outdir = os.environ.get(OUTPUT_DIR_ENV)
         if outdir and not os.path.isabs(path):
             path = os.path.join(outdir, path)

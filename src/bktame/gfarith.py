@@ -1,5 +1,5 @@
 """Exact arithmetic over small finite fields GF(p^m), truncated Laurent
-series over them, and dense rank/kernel/cokernel linear algebra.
+series over them, and dense row reduction.
 
 Polynomials over GF(p) are coefficient tuples, constant term first.
 The field modulus is always the lexicographically smallest monic
@@ -194,14 +194,6 @@ class FieldSpec:
     def one(self):
         return self.elem(1)
 
-    def gen(self):
-        """The class of x (only meaningful for m >= 2)."""
-        return self.elem((0, 1) + (0,) * (self.m - 2)) if self.m >= 2 else self.one()
-
-    def elements(self):
-        for idx in range(self.order):
-            yield FieldElem(self, self._coeffs_of_index(idx))
-
     def nonzero_elements(self):
         for idx in range(1, self.order):
             yield FieldElem(self, self._coeffs_of_index(idx))
@@ -373,11 +365,6 @@ class FieldElem:
         return "%r%r" % (list(self.coeffs), self.owner)
 
 
-def frobenius(x):
-    """x -> x^p; iterating m times is the identity."""
-    return x ** x.owner.p
-
-
 class TruncSeries:
     """Truncated (Laurent) series over a FieldSpec.
 
@@ -404,10 +391,6 @@ class TruncSeries:
             self.low_degree = min(clean)
         else:
             self.low_degree = trunc_order if trunc_order is not None else 0
-
-    @classmethod
-    def monomial(cls, owner, degree, coeff=1, trunc_order=None):
-        return cls(owner, {degree: coeff}, trunc_order)
 
     def is_zero(self):
         """True if all *known* coefficients vanish."""
@@ -467,17 +450,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, k):
-        """Multiply by u^k."""
-        return TruncSeries(self.owner, {d + k: c for d, c in self.terms.items()},
-                           None if self.trunc_order is None else self.trunc_order + k)
-
-    def valuation(self):
-        """Degree of the lowest nonzero term; None for (known-)zero series."""
-        if self.terms:
-            return self.low_degree
-        return None
-
     def divisible_by_power(self, k):
         """Whether u^k divides the series; may raise TruncationExceeded."""
         if any(d < k for d in self.terms):
@@ -503,30 +475,6 @@ class TruncSeries:
                               for d, c in sorted(self.terms.items()))
         tail = "" if self.trunc_order is None else " + O(u^%d)" % self.trunc_order
         return "<%s%s>" % (body, tail)
-
-
-def semilinear_substitute(s):
-    """s(u) -> s(u^p) with coefficients unchanged.
-
-    After the idempotent decomposition the Frobenius between graded pieces
-    is coefficient-linear, so only the variable is raised to the p-th power.
-    The known window scales: the output is known below p * trunc_order.
-    """
-    p = s.owner.p
-    return TruncSeries(s.owner, {p * d: c for d, c in s.terms.items()},
-                       None if s.trunc_order is None else p * s.trunc_order)
-
-
-class LinearMap:
-    """Dense matrix over a FieldSpec; rows index the codomain."""
-
-    def __init__(self, domain_dim, codomain_dim, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != codomain_dim or any(len(r) != domain_dim for r in rows):
-            raise ValueError("matrix shape does not match the stated dimensions")
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
-        self.rows = rows
 
 
 def gauss_rank(rows):
@@ -577,9 +525,3 @@ def nullspace_basis(rows, ncols, field):
         basis.append(vec)
     return basis
 
-
-def rank_kernel_cokernel(lmap):
-    """(rank, kernel dim, cokernel dim) by Gaussian elimination."""
-    work = [list(r) for r in lmap.rows]
-    rank = gauss_rank(work)
-    return rank, lmap.domain_dim - rank, lmap.codomain_dim - rank

@@ -11,7 +11,7 @@ all of length f' and periodic with period dividing f.
 from dataclasses import dataclass
 
 from .errors import (CongruenceFailed, ContextMismatch, KindMismatch,
-                     PeriodError, RangeError, ZeroCoefficient)
+                     NotSupported, PeriodError, RangeError, ZeroCoefficient)
 from .gfarith import FieldElem
 from .tametypes import CUSPIDAL, LocalContext
 
@@ -40,15 +40,14 @@ class RankOneBK:
     def field(self):
         return self.ctx.coefficient_field(self.kind)
 
-    def unram_product(self, span=None):
-        """Product of the a_i over f consecutive indices (or f' if asked).
+    def unram_product(self):
+        """Product of the a_i over f consecutive indices.
 
         Periodicity makes the f'-fold product the square of the f-fold one
         in cuspidal contexts; character comparisons use the f-fold product.
         """
-        n = self.ctx.f if span is None else span
         prod = self.field.one()
-        for i in range(n):
+        for i in range(self.ctx.f):
             prod = prod * self.a[i]
         return prod
 
@@ -97,6 +96,41 @@ def validate(ctx, kind, r, a, c):
             raise CongruenceFailed("p*c[%d] != c[%d] + r[%d] mod %d"
                                    % ((i - 1) % fp, i, i, ekk))
     return RankOneBK(ctx, kind, r, a, c)
+
+
+def random_module(ctx, kind, rng):
+    """Uniform-ish valid module: free residues c, Frobenius exponents drawn
+    from the congruence class forced by c, unit coefficients drawn by index."""
+    fp, f = ctx.fprime(kind), ctx.f
+    ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
+    field = ctx.coefficient_field(kind)
+    c_half = [rng.below(ekk) for _ in range(f)]
+    c = tuple(c_half[i % f] for i in range(fp))
+    r_half = []
+    for i in range(f):
+        base = (ctx.p * c[(i - 1) % fp] - c[i]) % ekk
+        r_half.append(rng.choice(range(base, ep + 1, ekk)))
+    r = tuple(r_half[i % f] for i in range(fp))
+    a_half = [FieldElem(field, field._coeffs_of_index(1 + rng.below(field.order - 1)))
+              for _ in range(f)]
+    a = tuple(a_half[i % f] for i in range(fp))
+    return validate(ctx, kind, r, a, c)
+
+
+def exhaustive_modules(ctx, kind):
+    """Every valid module of an f = 1 context."""
+    if ctx.f != 1:
+        raise NotSupported("exhaustive sweeps are desk-scale: f = 1 only")
+    fp = ctx.fprime(kind)
+    ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
+    field = ctx.coefficient_field(kind)
+    mods = []
+    for c0 in range(ekk):
+        base = (ctx.p * c0 - c0) % ekk
+        for r0 in range(base, ep + 1, ekk):
+            for a in field.nonzero_elements():
+                mods.append(validate(ctx, kind, (r0,) * fp, (a,) * fp, (c0,) * fp))
+    return mods
 
 
 def alpha(mod):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .errors import (ContextMismatch, InvalidShape, NoNonzeroMap, NotTypeTau,
                      TruncationUnstable)
 from .gfarith import gauss_rank, nullspace_basis
-from .rankone import (RankOneBK, alpha, hom_dim, same_generic_fibre,
-                      twist_conjugate, validate)
+from .rankone import (RankOneBK, _same_frame, alpha, hom_dim,
+                      same_generic_fibre, twist_conjugate, validate)
 from .tametypes import CUSPIDAL, TameType, gamma_digits
 
 
@@ -59,6 +59,10 @@ class RefinedShape:
     @property
     def is_maximal(self):
         return all(yi == self.shape.tau.ctx.e for yi in self.y)
+
+
+def _to_shape(tau, J):
+    return J if isinstance(J, Shape) else Shape(tau, frozenset(J))
 
 
 def _reduced_mod_f(indices, tau):
@@ -122,7 +126,7 @@ def p_tau(tau):
 
 def refined_shapes(tau, J):
     """All admissible y-vectors for the shape, lexicographically ordered."""
-    shape = J if isinstance(J, Shape) else Shape(tau, frozenset(J))
+    shape = _to_shape(tau, J)
     e = tau.ctx.e
     trans = _reduced_mod_f(transitions(shape), tau)
     ranges = [range(1 if i in trans else 0, e + 1) for i in range(tau.ctx.f)]
@@ -140,7 +144,7 @@ def refined_shapes(tau, J):
 
 
 def maximal_refined(tau, J):
-    shape = J if isinstance(J, Shape) else Shape(tau, frozenset(J))
+    shape = _to_shape(tau, J)
     return RefinedShape(shape, (tau.ctx.e,) * tau.ctx.f)
 
 
@@ -189,7 +193,7 @@ def shape_of_pair(m, n, tau):
     """Inverse of build_MN on typed pairs (coefficients are ignored)."""
     if m.ctx != tau.ctx or m.kind != tau.kind:
         raise ContextMismatch("pair and type live over different frames")
-    _check_same_frame(m, n)
+    _same_frame(m, n)
     if not _pair_has_type(m, n, tau):
         raise NotTypeTau("pair is not of the requested type")
     if tau.is_scalar:
@@ -217,7 +221,7 @@ def gamma_star(tau, J):
     At every transition the defining identity
     p*[d_{i-1} - c_{i-1}] - [c_i - d_i] = gamma*_i (p^{f'} - 1) is checked.
     """
-    shape = J if isinstance(J, Shape) else Shape(tau, frozenset(J))
+    shape = _to_shape(tau, J)
     if tau.is_scalar:
         raise InvalidShape("gamma* is defined for nonscalar types")
     gamma = gamma_digits(tau)
@@ -242,15 +246,10 @@ def _count_congruent(lo, hi, residue, mod):
     return (hi - 1 - first) // mod + 1
 
 
-def _check_same_frame(m, n):
-    if m.ctx != n.ctx or m.kind != n.kind:
-        raise ContextMismatch("modules live over different contexts/kinds")
-
-
 def ext_dim(m, n):
     """Closed-form dim Ext^1(M, N): Hom contribution plus, per index, the
     count of admissible degrees below r_i."""
-    _check_same_frame(m, n)
+    _same_frame(m, n)
     ekk = m.ekk
     total = hom_dim(m, n)
     for i in range(m.ctx.f):
@@ -260,7 +259,7 @@ def ext_dim(m, n):
 
 def ext_dim_height1(m, n):
     """Same count restricted to extensions of height at most one."""
-    _check_same_frame(m, n)
+    _same_frame(m, n)
     ekk = m.ekk
     total = hom_dim(m, n)
     for i in range(m.ctx.f):
@@ -328,8 +327,10 @@ def _dims_at_level(m, n, level):
     return ext, hom
 
 
-def _oracle_dims(m, n, trunc=None):
-    _check_same_frame(m, n)
+def oracle_dims(m, n, trunc=None):
+    """(dim Ext^1, dim Hom) by row reduction of the truncated complex,
+    checked at two truncation levels."""
+    _same_frame(m, n)
     level = _default_trunc(m.ctx) if trunc is None else trunc
     first = _dims_at_level(m, n, level)
     second = _dims_at_level(m, n, level + 1)
@@ -337,17 +338,6 @@ def _oracle_dims(m, n, trunc=None):
         raise TruncationUnstable("levels %d and %d disagree: %r vs %r"
                                  % (level, level + 1, first, second))
     return first
-
-
-def ext_dim_oracle(m, n, trunc=None):
-    """dim Ext^1 by row reduction of the truncated complex, checked at two
-    truncation levels."""
-    return _oracle_dims(m, n, trunc)[0]
-
-
-def hom_dim_oracle(m, n, trunc=None):
-    """dim Hom by the same truncated-complex computation."""
-    return _oracle_dims(m, n, trunc)[1]
 
 
 def kext_dim(tau, J, prod_a, prod_b):
@@ -358,7 +348,7 @@ def kext_dim(tau, J, prod_a, prod_b):
     i = 0..f-1; when e = 1, the products agree, and the count is f, the
     dimension drops to f - 1.
     """
-    shape = J if isinstance(J, Shape) else Shape(tau, frozenset(J))
+    shape = _to_shape(tau, J)
     field = tau.ctx.coefficient_field(tau.kind)
     if isinstance(prod_a, int):
         prod_a = field.elem(prod_a)
@@ -384,7 +374,7 @@ def kext_dim_oracle(m, n):
     agree modulo integral series, then corrects by the difference between
     Galois-level and module-level Hom.
     """
-    _check_same_frame(m, n)
+    _same_frame(m, n)
     f, p, ekk, ep = m.ctx.f, m.ctx.p, m.ekk, m.eprime
     field = m.field
     unknowns = []   # (index i, positive pole order D) for mu_i = t u^{-D}
@@ -430,7 +420,7 @@ class ExtClass:
     h: tuple
 
     def __post_init__(self):
-        _check_same_frame(self.m, self.n)
+        _same_frame(self.m, self.n)
         fp, ekk, f = self.m.fprime, self.m.ekk, self.m.ctx.f
         if len(self.h) != fp:
             raise InvalidShape("h must have length f'")
@@ -476,7 +466,7 @@ def irred_bound(m, n):
     1 + ceil(e/(p-1)) f; checks x_i = x_{i+f} and the character congruence
     x_i = d_i - c_{i+f} mod p^{f'}-1.
     """
-    _check_same_frame(m, n)
+    _same_frame(m, n)
     twisted = twist_conjugate(m)
     if hom_dim(n, twisted) != 1:
         raise NoNonzeroMap("no nonzero map from N to the conjugate twist of M")

@@ -139,26 +139,6 @@ def make_type(ctx, kind, k0, k0p=None):
     return TameType(ctx, CUSPIDAL, k0, derived)
 
 
-@dataclass(frozen=True)
-class GammaVector:
-    """Base-p digit vector of the character ratio, length f'."""
-
-    gamma: tuple
-
-    def __post_init__(self):
-        if not self.gamma:
-            raise BadResidue("empty digit vector")
-
-    def __iter__(self):
-        return iter(self.gamma)
-
-    def __getitem__(self, i):
-        return self.gamma[i % len(self.gamma)]
-
-    def __len__(self):
-        return len(self.gamma)
-
-
 def gamma_digits(tau):
     """Digit vector with sum_j p^j gamma[i-j] = [k_i - k'_i] for every i.
 
@@ -174,7 +154,7 @@ def gamma_digits(tau):
     if tau.kind == CUSPIDAL:
         f = tau.ctx.f
         assert all(gamma[i] + gamma[(i + f) % fp] == p - 1 for i in range(fp))
-    return GammaVector(gamma)
+    return gamma
 
 
 def _cuspidal_orbit_rep(ctx, k0):

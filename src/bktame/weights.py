@@ -14,7 +14,7 @@ from functools import lru_cache
 from .errors import InvalidShape, NotInPTau, ScalarType, SteinbergWeight
 from .intlinalg import IntegerColumnSolver
 from .rng import SplitMix64
-from .shapes import Shape, p_tau
+from .shapes import _to_shape, p_tau
 from .tametypes import CUSPIDAL, PS, enumerate_types, gamma_digits
 
 ZERO = "zero"
@@ -84,10 +84,6 @@ class WeightFormulaData:
     theta_exp: int  # None for principal series
 
 
-def _as_shape(tau, J):
-    return J if isinstance(J, Shape) else Shape(tau, frozenset(J))
-
-
 def weight_formula_data(tau, J):
     """The per-index exponents attached to a shape.
 
@@ -95,7 +91,7 @@ def weight_formula_data(tau, J):
     the next index sits in J); across a boundary it is complemented.  The
     t-exponent is nonzero only when the previous index lies in J.
     """
-    shape = _as_shape(tau, J)
+    shape = _to_shape(tau, J)
     Jset = shape.J
     gamma = gamma_digits(tau)
     p, fp = tau.p_, tau.fprime
@@ -125,7 +121,7 @@ def weight_formula_data(tau, J):
 
 def sigma_tau_J(tau, J):
     """The Serre weight attached to a shape in the admissible set."""
-    shape = _as_shape(tau, J)
+    shape = _to_shape(tau, J)
     if shape not in p_tau(tau):
         raise NotInPTau("shape %s is not admissible for %s"
                         % (sorted(shape.J), tau.label()))
@@ -158,7 +154,7 @@ def char_TN(tau, J):
     result is checked to be fixed by the q-power map, so it really is the
     exponent of a character of the base field.
     """
-    shape = _as_shape(tau, J)
+    shape = _to_shape(tau, J)
     Jset = shape.J
     gamma = gamma_digits(tau)
     p, fp, ekk = tau.p_, tau.fprime, tau.ekk
@@ -181,10 +177,6 @@ class DieudonnePattern:
         for _tag, fval, vval in self.entries:
             assert (fval == ZERO) != (vval == ZERO)
 
-    def f_vanishing(self):
-        return frozenset(j for j, (_, fval, _v) in enumerate(self.entries)
-                         if fval == ZERO)
-
 
 def dieudonne_pattern(tau, J):
     """Per-index vanishing of F: D_j -> D_{j+1} and V: D_{j+1} -> D_j.
@@ -195,7 +187,7 @@ def dieudonne_pattern(tau, J):
     """
     if tau.is_scalar:
         raise ScalarType("vanishing patterns ask for a nonscalar type")
-    shape = _as_shape(tau, J)
+    shape = _to_shape(tau, J)
     Jset = shape.J
     fp = tau.fprime
     entries = []
@@ -217,7 +209,7 @@ def divisor_support(tau, J):
     exactly those with j+1 in J (computed mod f', reported mod f)."""
     if tau.is_scalar:
         raise ScalarType("divisor supports ask for a nonscalar type")
-    shape = _as_shape(tau, J)
+    shape = _to_shape(tau, J)
     fp = tau.fprime
     return frozenset(j for j in range(tau.ctx.f) if (j + 1) % fp in shape.J)
 

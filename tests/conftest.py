@@ -2,39 +2,3 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from bktame import validate
-
-
-def random_module(ctx, kind, rng):
-    """Uniform-ish valid rank-one module: free residues c, Frobenius
-    exponents drawn from the congruence class forced by c, unit coefficients."""
-    fp, f = ctx.fprime(kind), ctx.f
-    ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
-    field = ctx.coefficient_field(kind)
-    units = list(field.nonzero_elements())
-    c_half = [rng.below(ekk) for _ in range(f)]
-    c = tuple(c_half[i % f] for i in range(fp))
-    r_half = []
-    for i in range(f):
-        base = (ctx.p * c[(i - 1) % fp] - c[i]) % ekk
-        r_half.append(rng.choice(range(base, ep + 1, ekk)))
-    r = tuple(r_half[i % f] for i in range(fp))
-    a_half = [rng.choice(units) for _ in range(f)]
-    a = tuple(a_half[i % f] for i in range(fp))
-    return validate(ctx, kind, r, a, c)
-
-
-def exhaustive_modules(ctx, kind):
-    """Every valid rank-one module for an f = 1 context."""
-    assert ctx.f == 1
-    fp = ctx.fprime(kind)
-    ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
-    field = ctx.coefficient_field(kind)
-    mods = []
-    for c0 in range(ekk):
-        base = (ctx.p * c0 - c0) % ekk
-        for r0 in range(base, ep + 1, ekk):
-            for a in field.nonzero_elements():
-                mods.append(validate(ctx, kind, (r0,) * fp, (a,) * fp, (c0,) * fp))
-    return mods

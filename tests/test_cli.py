@@ -1,6 +1,27 @@
+import hashlib
 import json
 
+import pytest
+
 from bktame.cli import run
+
+# sha256 of the rendered report; any change to these bytes is a change of output
+REPORT_SHA256 = {
+    "types -p 3 -f 2 --format text":
+        "b85c6a3a1431ac893dab6001c588a36597a2700b377fb497ad993f379d2567fb",
+    "ptau -p 3 -f 2":
+        "86a5154f45cc9a533554600f2ad2731e0cbf163034993d86fc1fffc85881139b",
+    "weights -p 5 -f 1 --format csv":
+        "eb3e26cdd8491a39d6431d5bb022641a4ba43a5bca99312b6f74d9e55c831450",
+    "oracle -p 3 -f 1 -e 2 --samples 40 --seed 5":
+        "6c840fd594ad025c12e9a9d57b92ef573e7ea2c663efaf1baac9d2f42550ea12",
+    "oracle -p 3 -f 2 --samples 20 --seed 9":
+        "278bea85ff490cfc2c295fd6c0dab764bc10dd418cb0f7d0df0eb3fc7805f43a",
+    "bm -p 3 -f 2 --seed 4 --format csv":
+        "709502d7542cff76b71eea4e37f796395fcec57e42930efce94d83ebf3fba0ed",
+    "components -p 3 -f 2":
+        "ebe780163bf66b49aa0a24e6c7c8d9fdb7440ad56b54b4468f87900507a489b8",
+}
 
 
 def run_json(argv):
@@ -26,14 +47,22 @@ def test_types_ordered_lists_pairs():
     assert len(ps) == 4
 
 
-def test_p_must_be_odd():
-    text, code = run(["types", "-p", "2", "-f", "1"])
-    assert code == 2 and "odd" in text
+@pytest.mark.parametrize("argv, message", [
+    ("types -p 2 -f 1", "p must be odd"),
+    ("ptau -p 3 -f 1 --type cusp:4", "bad type selector"),
+    ("oracle -p 3 -f 2 --exhaustive", "f = 1 only"),
+], ids=["even_p", "bad_type_selector", "exhaustive_needs_f1"])
+def test_bad_input_exits_2(argv, message):
+    text, code = run(argv.split())
+    assert code == 2 and message in text
 
 
-def test_bad_type_selector():
-    text, code = run(["ptau", "-p", "3", "-f", "1", "--type", "cusp:4"])
-    assert code == 2
+@pytest.mark.parametrize("argv", sorted(REPORT_SHA256),
+                         ids=lambda argv: argv.replace(" ", "_"))
+def test_report_bytes_are_pinned(argv):
+    text, code = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[argv]
 
 
 def test_ptau_report():

@@ -3,13 +3,12 @@ import pytest
 from bktame import (CUSPIDAL, PS, ExtClass, InvalidShape, LocalContext,
                     NoNonzeroMap, NotTypeTau, Shape, TruncSeries, build_MN,
                     build_field, check_height_and_det, ext_dim,
-                    ext_dim_height1, ext_dim_oracle, family_dim, gamma_star,
-                    hom_dim_oracle, irred_bound, kext_dim, kext_dim_oracle,
-                    make_type, maximal_refined, p_tau, refined_shapes,
-                    shape_of_pair, shapes_for, transitions, validate)
+                    ext_dim_height1, exhaustive_modules, family_dim,
+                    gamma_star, irred_bound, kext_dim, kext_dim_oracle,
+                    make_type, maximal_refined, oracle_dims, p_tau,
+                    random_module, refined_shapes, shape_of_pair, shapes_for,
+                    transitions, validate)
 from bktame.rng import SplitMix64
-
-from conftest import random_module
 
 CTX = LocalContext(3, 1, 1)
 TAU_PS = make_type(CTX, PS, 1, 0)
@@ -98,15 +97,15 @@ def test_ext_dim_examples():
 
 def test_ext_oracle_reproduces_examples():
     m, n = build_MN(TAU_PS, maximal_refined(TAU_PS, {0}))
-    assert ext_dim_oracle(m, n) == 2
+    assert oracle_dims(m, n)[0] == 2
     g = build_field(3, 1).elem(2)
     n_twist = validate(CTX, PS, n.r, (g,), n.c)
-    assert ext_dim_oracle(m, n_twist) == 1
+    assert oracle_dims(m, n_twist)[0] == 1
     etale = validate(CTX, PS, (0,), (1,), (0,))
-    assert ext_dim_oracle(etale, etale) == 1
-    assert hom_dim_oracle(m, m) == 1
+    assert oracle_dims(etale, etale)[0] == 1
+    assert oracle_dims(m, m)[1] == 1
     m2, n2 = build_MN(TAU_C, maximal_refined(TAU_C, {1}))
-    assert ext_dim_oracle(m2, n2) == ext_dim(m2, n2) == 2
+    assert oracle_dims(m2, n2)[0] == ext_dim(m2, n2) == 2
 
 
 def test_ext_height1_bounded_by_ext():
@@ -233,10 +232,9 @@ def test_irred_bound_requires_nonzero_map():
 
 
 def test_oracle_exhaustive_smallest_context():
-    from conftest import exhaustive_modules
     mods = exhaustive_modules(CTX, PS)
     assert len(mods) == 8
     for m in mods:
         for n in mods:
-            assert ext_dim(m, n) == ext_dim_oracle(m, n)
-            assert hom_dim_oracle(m, n) in (0, 1)
+            ext, hom = oracle_dims(m, n)
+            assert ext == ext_dim(m, n) and hom in (0, 1)
