@@ -32,7 +32,7 @@ print("\ninteger decomposition of every non-Steinberg weight:")
 for w in all_weights(ctx):
     n = solve_n_tau(ctx, w)
     terms = " ".join("%+d[%s]" % (v, t.label()) for t, v in n.items())
-    unit = c_sigma_cycle(ctx, w) == Cycle.unit(w)
+    unit = c_sigma_cycle(n) == Cycle.unit(w)
     print("  %s = %s  (unit cycle: %s)" % (w.label(), terms, unit))
 print("orthogonality of the full system:", verify_orthogonality(ctx))
 print("type cycle of ps:1,0:", z_tau_cycle(tau))

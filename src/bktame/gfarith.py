@@ -51,12 +51,6 @@ def _ptrim(c):
     return tuple(c[:i])
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
@@ -131,6 +125,7 @@ class FieldSpec:
         self.order = p ** m
         self._exp = None
         self._log = None
+        self._gen = self._find_generator_coeffs()
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -150,7 +145,7 @@ class FieldSpec:
         return idx
 
     def _build_tables(self):
-        g = self._find_generator_coeffs()
+        g = self._gen
         exp = [None] * (self.order - 1)
         log = {}
         cur = (1,) + (0,) * (self.m - 1)
@@ -200,7 +195,7 @@ class FieldSpec:
 
     def multiplicative_generator(self):
         """First element in index order with full multiplicative order."""
-        return FieldElem(self, self._find_generator_coeffs())
+        return FieldElem(self, self._gen)
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)

@@ -1,7 +1,7 @@
 """Serre weights, the weights attached to shapes of a tame type,
 Jordan-Holder sets, descent characters of the standard submodules,
-Dieudonne vanishing patterns and component labels, and the cycle
-arithmetic with the integer decomposition solver.
+Dieudonne vanishing patterns and component labels, and the integer
+decomposition solver with the cycle of each decomposition.
 
 Weights are stored in the normal form (t, s) with both vectors of length
 f and digits in [0, p-1], t never all p-1; two det-twists are identified
@@ -225,19 +225,6 @@ class Cycle:
     def __init__(self, mult=None):
         self.mult = {w: m for w, m in (mult or {}).items() if m}
 
-    def __add__(self, other):
-        out = dict(self.mult)
-        for w, m in other.mult.items():
-            out[w] = out.get(w, 0) + m
-        return Cycle(out)
-
-    def scale(self, k):
-        return Cycle({w: k * m for w, m in self.mult.items()})
-
-    @property
-    def is_effective(self):
-        return all(m >= 0 for m in self.mult.values())
-
     @property
     def is_reduced_effective(self):
         return all(m in (0, 1) for m in self.mult.values())
@@ -278,7 +265,7 @@ def all_weights(ctx):
 
 @lru_cache(maxsize=None)
 def _bm_system(ctx, permute_seed=None):
-    """Types, weights, the 0/1 multiplicity matrix, and its factorisation."""
+    """Types, weight index, elimination order, factorised 0/1 matrix."""
     types = enumerate_types(ctx, canonical=True)
     weights = all_weights(ctx)
     w_index = {w: i for i, w in enumerate(weights)}
@@ -292,7 +279,7 @@ def _bm_system(ctx, permute_seed=None):
             col[w_index[w]] = 1
         columns.append(col)
     solver = IntegerColumnSolver(columns, len(weights))
-    return types, weights, w_index, order, solver
+    return types, w_index, order, solver
 
 
 def solve_n_tau(ctx, weight, permute_seed=None):
@@ -305,35 +292,24 @@ def solve_n_tau(ctx, weight, permute_seed=None):
     """
     if weight.is_steinberg:
         raise SteinbergWeight("no decomposition for Steinberg weights")
-    types, weights, w_index, order, solver = _bm_system(ctx, permute_seed)
+    types, w_index, order, solver = _bm_system(ctx, permute_seed)
     combo = solver.solve({w_index[weight]: 1})
     return {types[order[j]]: v for j, v in sorted(combo.items())}
 
 
-def c_sigma_cycle(ctx, weight, permute_seed=None):
-    """The cycle sum_tau n_tau Z(tau); equal to the unit cycle at the
-    weight whenever the decomposition solves exactly."""
-    if weight.is_steinberg:
-        raise SteinbergWeight("no cycle for Steinberg weights")
-    n = solve_n_tau(ctx, weight, permute_seed)
-    total = Cycle()
-    for tau, coeff in n.items():
-        total = total + z_tau_cycle(tau).scale(coeff)
-    return total
+def c_sigma_cycle(n_tau):
+    """The cycle sum_tau n_tau Z(tau) of a decomposition from solve_n_tau;
+    equal to the unit cycle at the weight whenever it solves exactly."""
+    mult = {}
+    for tau, coeff in n_tau.items():
+        for w in jh_factors(tau):
+            mult[w] = mult.get(w, 0) + coeff
+    return Cycle(mult)
 
 
 def verify_orthogonality(ctx):
     """sum_tau n_tau(w) m_{w'}(tau) = delta_{w,w'} over all non-Steinberg
-    pairs, for the solver's own output."""
-    types, weights, w_index, _, _ = _bm_system(ctx)
-    jh = {tau: jh_factors(tau) for tau in types}
-    for w in weights:
-        n = solve_n_tau(ctx, w)
-        acc = {}
-        for tau, coeff in n.items():
-            for wp in jh[tau]:
-                acc[wp] = acc.get(wp, 0) + coeff
-        for wp in weights:
-            if acc.get(wp, 0) != (1 if wp == w else 0):
-                return False
-    return True
+    pairs, for the solver's own output: row w of that product is the cycle
+    of w's decomposition, since every multiplicity m_{w'}(tau) is 0 or 1."""
+    return all(c_sigma_cycle(solve_n_tau(ctx, w)) == Cycle.unit(w)
+               for w in all_weights(ctx))

@@ -18,8 +18,9 @@ from bktame import (CUSPIDAL, PS, Cycle, LocalContext, all_weights, build_MN,
                     galois_char, gamma_digits, hom_dim, irred_bound,
                     jh_factors, kext_dim, kext_dim_oracle, maximal_refined,
                     oracle_dims, p_tau, random_module, refined_shapes,
-                    shapes_for, sigma_tau_J, twist_conjugate, validate,
-                    verify_orthogonality, weight_formula_data, z_tau_cycle)
+                    shapes_for, sigma_tau_J, solve_n_tau, twist_conjugate,
+                    validate, verify_orthogonality, weight_formula_data,
+                    z_tau_cycle)
 from bktame.cli import run
 from bktame.rng import SplitMix64
 
@@ -131,8 +132,9 @@ def test_criterion_5_cycle_identities():
             ctx = LocalContext(p, f, 1)
             assert verify_orthogonality(ctx)
             for w in all_weights(ctx):
-                assert c_sigma_cycle(ctx, w) == Cycle.unit(w)
-                assert c_sigma_cycle(ctx, w, permute_seed=1) == Cycle.unit(w)
+                assert c_sigma_cycle(solve_n_tau(ctx, w)) == Cycle.unit(w)
+                assert (c_sigma_cycle(solve_n_tau(ctx, w, permute_seed=1))
+                        == Cycle.unit(w))
             for tau in enumerate_types(ctx, canonical=True):
                 assert z_tau_cycle(tau).is_reduced_effective
     report(5, "cycle decomposition, orthogonality, permuted order",

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from bktame import LocalContext, all_weights, intlinalg
 from bktame.cli import run
 
 # sha256 of the rendered report; any change to these bytes is a change of output
@@ -19,6 +20,8 @@ REPORT_SHA256 = {
         "278bea85ff490cfc2c295fd6c0dab764bc10dd418cb0f7d0df0eb3fc7805f43a",
     "bm -p 3 -f 2 --seed 4 --format csv":
         "709502d7542cff76b71eea4e37f796395fcec57e42930efce94d83ebf3fba0ed",
+    "bm -p 3 -f 2":
+        "39db8975db4e1808a5c4b9f924e57b00d101974dc96699d57e3ef682229b508f",
     "components -p 3 -f 2":
         "ebe780163bf66b49aa0a24e6c7c8d9fdb7440ad56b54b4468f87900507a489b8",
 }
@@ -139,6 +142,20 @@ def test_bm_report():
     weight_rows = [it for it in report["items"] if it["key"].startswith("weight|")]
     assert len(weight_rows) == 4
     assert all(it["unit_cycle"] and it["unit_cycle_permuted"] for it in weight_rows)
+
+
+def test_bm_solves_each_weight_once_per_elimination_order(monkeypatch):
+    calls = []
+    solve = intlinalg.IntegerColumnSolver.solve
+
+    def counting_solve(self, rhs):
+        calls.append(rhs)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(intlinalg.IntegerColumnSolver, "solve", counting_solve)
+    _, code = run("bm -p 3 -f 2 --seed 4 --format csv".split())
+    assert code == 0
+    assert len(calls) == 2 * len(all_weights(LocalContext(3, 2, 1))) == 128
 
 
 def test_components_report():

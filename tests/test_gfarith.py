@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bktame import (NotPrime, DegreeTooLarge, TruncationExceeded,
+from bktame import (FieldSpec, NotPrime, DegreeTooLarge, TruncationExceeded,
                     TruncSeries, build_field)
 from bktame.gfarith import _pdivmod, gauss_rank
 from bktame.rng import SplitMix64
@@ -96,6 +96,16 @@ def test_frobenius_on_gf9_generator():
     g = F.multiplicative_generator()
     assert g.multiplicative_order() == 8
     assert (g ** 3) ** 3 == g
+
+
+def test_multiplicative_generator_is_found_once(monkeypatch):
+    F = build_field(3, 2)
+
+    def no_search(self):
+        raise AssertionError("generator searched again")
+
+    monkeypatch.setattr(FieldSpec, "_find_generator_coeffs", no_search)
+    assert F.multiplicative_generator().multiplicative_order() == 8
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 4)])

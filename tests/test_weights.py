@@ -157,7 +157,7 @@ def acc_weights(n_tau):
 
 def test_c_sigma_cycle_is_unit():
     for w in all_weights(CTX):
-        assert c_sigma_cycle(CTX, w) == Cycle.unit(w)
+        assert c_sigma_cycle(solve_n_tau(CTX, w)) == Cycle.unit(w)
 
 
 def test_verify_orthogonality_p3_f1():
@@ -167,13 +167,12 @@ def test_verify_orthogonality_p3_f1():
 def test_identities_survive_permuted_elimination_order():
     for seed in (1, 99):
         for w in all_weights(CTX):
-            assert c_sigma_cycle(CTX, w, permute_seed=seed) == Cycle.unit(w)
+            assert (c_sigma_cycle(solve_n_tau(CTX, w, permute_seed=seed))
+                    == Cycle.unit(w))
 
 
 def test_cycle_arithmetic():
     w1 = SerreWeight(3, 1, (0,), (1,))
     w2 = SerreWeight(3, 1, (1,), (1,))
-    c = Cycle({w1: 1, w2: 2})
-    assert (c + c.scale(-1)).mult == {}
-    assert not c.scale(-1).is_effective
-    assert c.is_effective and not c.is_reduced_effective
+    assert Cycle({w1: 1, w2: 0}).mult == {w1: 1}
+    assert not Cycle({w1: 1, w2: 2}).is_reduced_effective
