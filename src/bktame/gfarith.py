@@ -4,13 +4,14 @@ series over them, and dense row reduction.
 Polynomials over GF(p) are coefficient tuples, constant term first.
 The field modulus is always the lexicographically smallest monic
 irreducible (coefficients compared low degree first), so construction is
-deterministic without external tables.  Fields of order up to 2^16 get
-exp/log tables for fast multiplication.
+deterministic without external tables.  A field element is its index
+sum(coeffs[j] * p^j); fields of order up to 2^16 get exp/log tables keyed
+by index, so multiplying, inverting and raising to powers are lookups.
 """
 
 from functools import lru_cache
 
-from .errors import DegreeTooLarge, NotPrime, TruncationExceeded
+from .errors import DegreeTooLarge, NotPrime, RangeError, TruncationExceeded
 
 _TABLE_LIMIT = 1 << 16
 
@@ -39,6 +40,15 @@ def _factorize(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def _digits(value, p, m):
+    """The m lowest base-p digits of value, least significant first."""
+    out = []
+    for _ in range(m):
+        out.append(value % p)
+        value //= p
+    return tuple(out)
 
 
 # -- dense polynomial helpers over GF(p); tuples, constant term first --
@@ -116,7 +126,8 @@ def _is_irreducible(poly, m, p):
 
 
 class FieldSpec:
-    """The field GF(p^m) with a fixed monic irreducible modulus."""
+    """The field GF(p^m) with a fixed monic irreducible modulus.  An element
+    is its index sum(coeffs[j] * p^j); exp/log tables exist when p^m <= 2^16."""
 
     def __init__(self, p, m, modulus):
         self.p = p
@@ -129,69 +140,66 @@ class FieldSpec:
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
-    # elements are indexed 0..order-1 by sum(coeffs[j] * p^j)
-
-    def _coeffs_of_index(self, idx):
-        c = []
-        for _ in range(self.m):
-            c.append(idx % self.p)
-            idx //= self.p
-        return tuple(c)
-
     def _index_of_coeffs(self, coeffs):
         idx = 0
         for c in reversed(coeffs):
             idx = idx * self.p + c
         return idx
 
+    def _add(self, a, b, sign):
+        """Index of a + sign * b, digit by digit mod p."""
+        p, out, place = self.p, 0, 1
+        while a or b:
+            out += (a + sign * b) % p * place
+            a, b, place = a // p, b // p, place * p
+        return out
+
     def _build_tables(self):
-        g = self._gen
-        exp = [None] * (self.order - 1)
-        log = {}
-        cur = (1,) + (0,) * (self.m - 1)
+        """_exp[k] is the index of g^k, _log its inverse (g = self._gen)."""
+        self._exp = [0] * (self.order - 1)
+        self._log = [None] * self.order
+        cur = 1
         for k in range(self.order - 1):
-            idx = self._index_of_coeffs(cur)
-            exp[k] = idx
-            log[idx] = k
-            cur = self._raw_mul(cur, g)
-        self._exp = exp
-        self._log = log
+            self._exp[k] = cur
+            self._log[cur] = k
+            cur = self._raw_mul(cur, self._gen)
 
     def _raw_mul(self, a, b):
-        prod = _pmul(a, b, self.p)
-        rem = _pdivmod(prod, self.modulus, self.p)[1]
-        return rem + (0,) * (self.m - len(rem))
+        """Index of the product of indices a and b, by polynomial arithmetic."""
+        p, m = self.p, self.m
+        prod = _pmul(_digits(a, p, m), _digits(b, p, m), p)
+        return self._index_of_coeffs(_pdivmod(prod, self.modulus, p)[1])
 
     def _find_generator_coeffs(self):
+        """Index of the first element in index order with full multiplicative order."""
         qm1 = self.order - 1
         if qm1 == 1:
-            return (1,) + (0,) * (self.m - 1)
+            return 1
         primes = _factorize(qm1)
         for idx in range(2, self.order):
-            cand = self._coeffs_of_index(idx)
-            cpoly = _ptrim(cand)
+            cpoly = _ptrim(_digits(idx, self.p, self.m))
             if all(_ppowmod(cpoly, qm1 // ell, self.modulus, self.p) != (1,)
                    for ell in primes):
-                return cand
+                return idx
         raise AssertionError("no multiplicative generator found")
 
     def elem(self, coeffs):
+        """An int is taken mod p; a tuple gives the coefficients, zero-padded to m."""
         if isinstance(coeffs, int):
-            coeffs = (coeffs % self.p,) + (0,) * (self.m - 1)
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.m:
-            coeffs = coeffs + (0,) * (self.m - len(coeffs))
-        return FieldElem(self, coeffs)
+            return FieldElem(self, coeffs % self.p)
+        if len(coeffs) > self.m:
+            raise RangeError("%d coefficients for a degree-%d field" % (len(coeffs), self.m))
+        return FieldElem(self, self._index_of_coeffs([c % self.p for c in coeffs]))
 
     def zero(self):
-        return self.elem(0)
+        return FieldElem(self, 0)
 
     def one(self):
-        return self.elem(1)
+        return FieldElem(self, 1)
 
     def nonzero_elements(self):
         for idx in range(1, self.order):
-            yield FieldElem(self, self._coeffs_of_index(idx))
+            yield FieldElem(self, idx)
 
     def multiplicative_generator(self):
         """First element in index order with full multiplicative order."""
@@ -222,25 +230,24 @@ def build_field(p, m):
     if m == 1:
         return FieldSpec(p, 1, (0, 1))
     for idx in range(p ** m):
-        low = []
-        k = idx
-        for _ in range(m):
-            low.append(k % p)
-            k //= p
-        cand = tuple(low) + (1,)
+        cand = _digits(idx, p, m) + (1,)
         if _is_irreducible(cand, m, p):
             return FieldSpec(p, m, cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 class FieldElem:
-    """Immutable element of a FieldSpec; coeffs reduced mod p."""
+    """Immutable element of a FieldSpec, stored as its index."""
 
-    __slots__ = ("owner", "coeffs")
+    __slots__ = ("owner", "idx")
 
-    def __init__(self, owner, coeffs):
+    def __init__(self, owner, idx):
         self.owner = owner
-        self.coeffs = coeffs
+        self.idx = idx
+
+    @property
+    def coeffs(self):
+        return _digits(self.idx, self.owner.p, self.owner.m)
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
@@ -255,8 +262,7 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.owner.p
-        return FieldElem(self.owner, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElem(self.owner, self.owner._add(self.idx, other.idx, 1))
 
     __radd__ = __add__
 
@@ -264,29 +270,24 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.owner.p
-        return FieldElem(self.owner, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElem(self.owner, self.owner._add(self.idx, other.idx, -1))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        p = self.owner.p
-        return FieldElem(self.owner, tuple((-a) % p for a in self.coeffs))
+        return FieldElem(self.owner, self.owner._add(0, self.idx, -1))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         F = self.owner
-        if F._log is not None:
-            ia = F._index_of_coeffs(self.coeffs)
-            ib = F._index_of_coeffs(other.coeffs)
-            if ia == 0 or ib == 0:
-                return F.zero()
-            k = (F._log[ia] + F._log[ib]) % (F.order - 1)
-            return FieldElem(F, F._coeffs_of_index(F._exp[k]))
-        return FieldElem(F, F._raw_mul(self.coeffs, other.coeffs))
+        if F._log is None:
+            return FieldElem(F, F._raw_mul(self.idx, other.idx))
+        if not self.idx or not other.idx:
+            return FieldElem(F, 0)
+        return FieldElem(F, F._exp[(F._log[self.idx] + F._log[other.idx]) % (F.order - 1)])
 
     __rmul__ = __mul__
 
@@ -295,8 +296,7 @@ class FieldElem:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         if F._log is not None:
-            k = (-F._log[F._index_of_coeffs(self.coeffs)]) % (F.order - 1)
-            return FieldElem(F, F._coeffs_of_index(F._exp[k]))
+            return FieldElem(F, F._exp[-F._log[self.idx] % (F.order - 1)])
         # extended euclid against the modulus
         a, b = _ptrim(self.coeffs), F.modulus
         s0, s1 = (1,), ()
@@ -323,8 +323,7 @@ class FieldElem:
                 raise ZeroDivisionError("inverse of zero")
             return F.zero()
         if F._log is not None:
-            k = (F._log[F._index_of_coeffs(self.coeffs)] * n) % (F.order - 1)
-            return FieldElem(F, F._coeffs_of_index(F._exp[k]))
+            return FieldElem(F, F._exp[(F._log[self.idx] * n) % (F.order - 1)])
         if n < 0:
             return self.inverse() ** (-n)
         result, base, e = F.one(), self, n
@@ -345,16 +344,16 @@ class FieldElem:
         return n
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.idx != 0
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.owner.elem(other)
-        return (isinstance(other, FieldElem) and self.owner == other.owner
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FieldElem) and self.idx == other.idx
+                and self.owner == other.owner)
 
     def __hash__(self):
-        return hash((self.owner.p, self.owner.m, self.coeffs))
+        return hash((self.owner.p, self.owner.m, self.idx))
 
     def __repr__(self):
         return "%r%r" % (list(self.coeffs), self.owner)

@@ -111,8 +111,7 @@ def random_module(ctx, kind, rng):
         base = (ctx.p * c[(i - 1) % fp] - c[i]) % ekk
         r_half.append(rng.choice(range(base, ep + 1, ekk)))
     r = tuple(r_half[i % f] for i in range(fp))
-    a_half = [FieldElem(field, field._coeffs_of_index(1 + rng.below(field.order - 1)))
-              for _ in range(f)]
+    a_half = [FieldElem(field, 1 + rng.below(field.order - 1)) for _ in range(f)]
     a = tuple(a_half[i % f] for i in range(fp))
     return validate(ctx, kind, r, a, c)
 

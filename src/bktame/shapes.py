@@ -10,6 +10,7 @@ explicit two-term complex of a pair at two truncation levels and insist
 the answers agree.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (ContextMismatch, InvalidShape, NoNonzeroMap, NotTypeTau,
@@ -130,17 +131,7 @@ def refined_shapes(tau, J):
     e = tau.ctx.e
     trans = _reduced_mod_f(transitions(shape), tau)
     ranges = [range(1 if i in trans else 0, e + 1) for i in range(tau.ctx.f)]
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == tau.ctx.f:
-            out.append(RefinedShape(shape, tuple(prefix)))
-            return
-        for yi in ranges[len(prefix)]:
-            rec(prefix + [yi])
-
-    rec([])
-    return out
+    return [RefinedShape(shape, y) for y in itertools.product(*ranges)]
 
 
 def maximal_refined(tau, J):

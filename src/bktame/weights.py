@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidShape, NotInPTau, ScalarType, SteinbergWeight
+from .gfarith import _digits
 from .intlinalg import IntegerColumnSolver
 from .rng import SplitMix64
 from .shapes import _to_shape, p_tau
@@ -56,14 +57,6 @@ class SerreWeight:
 
     def label(self):
         return "t=%s,s=%s" % (list(self.t), list(self.s))
-
-
-def _digits(value, p, f):
-    out = []
-    for _ in range(f):
-        out.append(value % p)
-        value //= p
-    return tuple(out)
 
 
 def canonical_weight(p, f, t_raw, s):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bktame import (FieldSpec, NotPrime, DegreeTooLarge, TruncationExceeded,
-                    TruncSeries, build_field)
+from bktame import (CUSPIDAL, PS, FieldSpec, LocalContext, NotPrime, DegreeTooLarge,
+                    RangeError, TruncationExceeded, TruncSeries, build_field,
+                    ext_dim, hom_dim, oracle_dims, random_module)
 from bktame.gfarith import _pdivmod, gauss_rank
 from bktame.rng import SplitMix64
 
@@ -58,7 +59,7 @@ def test_modulus_is_irreducible_by_trial_division(p, m):
             assert _pdivmod(f, g, p)[1] != (), (f, g)
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 4)])
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 4), (5, 8)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_field_axioms_on_random_triples(p, m, data):
@@ -81,6 +82,35 @@ def build_digits(value, p, m):
         out.append(value % p)
         value //= p
     return out
+
+
+def test_elem_rejects_more_coefficients_than_the_degree():
+    F = build_field(3, 2)
+    with pytest.raises(RangeError):
+        F.elem((1, 0, 0))
+    with pytest.raises(RangeError):
+        F.elem((1, 2, 1)) * F.one()
+    assert F.elem((2,)) == F.elem((2, 0)) == F.elem(2)
+
+
+def test_arithmetic_converts_no_representation(monkeypatch):
+    F = build_field(7, 2)
+    x, y = F.multiplicative_generator(), F.elem((3, 5))
+    ctx = LocalContext(7, 2, 1)
+    rng = SplitMix64(11)
+    pairs = [(random_module(ctx, kind, rng), random_module(ctx, kind, rng))
+             for kind in (PS, CUSPIDAL)]
+
+    def no_conversion(self, coeffs):
+        raise AssertionError("coefficient tuple converted to an index")
+
+    monkeypatch.setattr(FieldSpec, "_index_of_coeffs", no_conversion)
+    assert (x + y) * (x - y) / y == x * x / y - y
+    assert (x * y).inverse() == x.inverse() * y.inverse() == (x * y) ** -1
+    assert x ** 48 == F.one() and -x + x == 0 and x ** 24 == -1
+    assert hash(x * y) == hash(y * x) and x != y
+    for m, n in pairs:
+        assert oracle_dims(m, n) == (ext_dim(m, n), hom_dim(m, n))
 
 
 # Frobenius is x -> x ** p

@@ -4,7 +4,7 @@ from bktame import (CUSPIDAL, PS, ExtClass, InvalidShape, LocalContext,
                     NoNonzeroMap, NotTypeTau, Shape, TruncSeries, build_MN,
                     build_field, check_height_and_det, ext_dim,
                     ext_dim_height1, exhaustive_modules, family_dim,
-                    gamma_star, irred_bound, kext_dim, kext_dim_oracle,
+                    gamma_star, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
                     make_type, maximal_refined, oracle_dims, p_tau,
                     random_module, refined_shapes, shape_of_pair, shapes_for,
                     transitions, validate)
@@ -238,3 +238,13 @@ def test_oracle_exhaustive_smallest_context():
         for n in mods:
             ext, hom = oracle_dims(m, n)
             assert ext == ext_dim(m, n) and hom in (0, 1)
+
+
+def test_oracle_agrees_over_an_untabled_field():
+    ctx = LocalContext(7, 3, 1)
+    assert ctx.coefficient_field(CUSPIDAL)._log is None  # GF(7^6) has no tables
+    rng = SplitMix64(76)
+    for _ in range(20):
+        m = random_module(ctx, CUSPIDAL, rng)
+        n = random_module(ctx, CUSPIDAL, rng)
+        assert (ext_dim(m, n), hom_dim(m, n)) == oracle_dims(m, n)
