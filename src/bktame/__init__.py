@@ -6,8 +6,8 @@ brute-force oracles for every closed form.
 
 from .errors import (BadResidue, BKError, CongruenceFailed,
                      ContextMismatch, CuspidalDegenerate, DegreeTooLarge,
-                     InvalidShape, KindMismatch, NoNonzeroMap, NoSolution,
-                     NotInPTau, NotPrime, NotSupported, NotTypeTau,
+                     InternalError, InvalidShape, KindMismatch, NoNonzeroMap,
+                     NoSolution, NotInPTau, NotPrime, NotSupported, NotTypeTau,
                      PeriodError, RangeError, ScalarType, SteinbergWeight,
                      TruncationExceeded, TruncationUnstable, ZeroCoefficient)
 from .gfarith import FieldElem, FieldSpec, TruncSeries, build_field
@@ -17,9 +17,10 @@ from .rankone import (GaloisChar, RankOneBK, alpha, exhaustive_modules,
 from .rng import SplitMix64
 from .shapes import (ExtClass, RefinedShape, Shape, build_MN,
                      check_height_and_det, ext_dim, ext_dim_height1,
-                     family_dim, gamma_star, irred_bound, kext_dim,
-                     kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
-                     refined_shapes, shape_of_pair, shapes_for, transitions)
+                     family_dim, gamma_star, irred_bound, is_admissible,
+                     kext_dim, kext_dim_oracle, maximal_refined, oracle_dims,
+                     p_tau, refined_count, refined_shapes, shape_of_pair,
+                     shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, TameType,
                         enumerate_types, gamma_digits, make_type)
 from .weights import (Cycle, DieudonnePattern, SerreWeight, all_weights,

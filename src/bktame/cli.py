@@ -18,9 +18,9 @@ from . import errors
 from .rankone import (exhaustive_modules, galois_char, hom_dim,
                       random_module, validate)
 from .rng import SplitMix64
-from .shapes import (build_MN, ext_dim, family_dim, kext_dim,
-                     kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
-                     refined_shapes, shapes_for)
+from .shapes import (_ext_beyond_hom, build_MN, family_dim, is_admissible,
+                     kext_dim, kext_dim_oracle, maximal_refined, oracle_dims,
+                     p_tau, refined_count, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, enumerate_types,
                         gamma_digits, make_type)
 from .weights import (Cycle, all_weights, c_sigma_cycle, char_TN,
@@ -96,15 +96,15 @@ def cmd_types(ctx, args):
 def cmd_ptau(ctx, args):
     items = []
     for tau in _selected_types(ctx, args):
-        admissible = {s.key() for s in p_tau(tau)}
+        label, gamma = tau.label(), gamma_digits(tau)
         for shape in shapes_for(tau):
             rs = maximal_refined(tau, shape)
             items.append({
-                "key": "%s|J=%s" % (tau.label(), _shape_str(shape.J)),
-                "type": tau.label(),
+                "key": "%s|J=%s" % (label, _shape_str(shape.J)),
+                "type": label,
                 "J": sorted(shape.J),
-                "in_ptau": shape.key() in admissible,
-                "refined_count": len(refined_shapes(tau, shape)),
+                "in_ptau": is_admissible(shape, gamma),
+                "refined_count": refined_count(tau, shape),
                 "maximal_y": list(rs.y),
                 "family_dim": family_dim(tau, rs),
                 "ok": True,
@@ -151,7 +151,8 @@ def _module_json(m):
 def _pair_items(kind, pairs, trunc):
     items = []
     for idx, (m, n) in enumerate(pairs):
-        ev, hv = ext_dim(m, n), hom_dim(m, n)
+        hv = hom_dim(m, n)
+        ev = hv + _ext_beyond_hom(m, n)
         ov, oh = oracle_dims(m, n, trunc)
         items.append({
             "key": "%s|pair%06d" % (kind, idx),

@@ -83,3 +83,13 @@ class NoNonzeroMap(BKError):
 
 class TruncationUnstable(BKError):
     """Truncated linear algebra disagreed between two precision levels."""
+
+
+class InternalError(BKError):
+    """A mathematical invariant failed: a bug, not bad input."""
+
+
+def check(condition, message):
+    """Raise InternalError unless condition holds (survives python -O)."""
+    if not condition:
+        raise InternalError(message + " (internal error)")

@@ -11,10 +11,12 @@ the answers agree.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (ContextMismatch, InvalidShape, NoNonzeroMap, NotTypeTau,
-                     TruncationUnstable)
+                     TruncationUnstable, check)
 from .gfarith import gauss_rank, nullspace_basis
 from .rankone import (RankOneBK, _same_frame, alpha, hom_dim,
                       same_generic_fibre, twist_conjugate, validate)
@@ -40,6 +42,19 @@ class Shape:
     def key(self):
         return tuple(sorted(self.J))
 
+    @cached_property
+    def transitions(self):
+        """Indices i with exactly one of i-1, i in J (computed once per shape)."""
+        fp, J = self.tau.fprime, self.J
+        return frozenset(i for i in range(fp) if ((i - 1) % fp in J) != (i in J))
+
+    @cached_property
+    def y_ranges(self):
+        """The range of each y_i: [1, e] where i is a transition mod f, else [0, e]."""
+        tau = self.tau
+        low = _reduced_mod_f(self.transitions, tau)
+        return tuple(range(1 if i in low else 0, tau.ctx.e + 1) for i in range(tau.ctx.f))
+
 
 @dataclass(frozen=True)
 class RefinedShape:
@@ -47,15 +62,13 @@ class RefinedShape:
     y: tuple
 
     def __post_init__(self):
-        tau = self.shape.tau
-        if len(self.y) != tau.ctx.f:
+        ranges = self.shape.y_ranges
+        if len(self.y) != len(ranges):
             raise InvalidShape("y must have length f")
-        trans = transitions(self.shape)
-        e = tau.ctx.e
-        for i, yi in enumerate(self.y):
-            lo = 1 if i in _reduced_mod_f(trans, tau) else 0
-            if not lo <= yi <= e:
-                raise InvalidShape("y[%d] = %d outside [%d, %d]" % (i, yi, lo, e))
+        for i, (yi, rng) in enumerate(zip(self.y, ranges)):
+            if not rng.start <= yi < rng.stop:
+                raise InvalidShape("y[%d] = %d outside [%d, %d]"
+                                   % (i, yi, rng.start, rng.stop - 1))
 
     @property
     def is_maximal(self):
@@ -68,13 +81,6 @@ def _to_shape(tau, J):
 
 def _reduced_mod_f(indices, tau):
     return {i % tau.ctx.f for i in indices}
-
-
-def transitions(shape):
-    """Indices i with exactly one of i-1, i in J."""
-    fp = shape.tau.fprime
-    J = shape.J
-    return frozenset(i for i in range(fp) if ((i - 1) % fp in J) != (i in J))
 
 
 def shapes_for(tau):
@@ -99,39 +105,29 @@ def shapes_for(tau):
     return sorted(out, key=lambda s: s.key())
 
 
+def is_admissible(shape, gamma):
+    """Whether the shape lies in P_tau, given gamma = gamma_digits(shape.tau):
+    its transitions avoid the forbidden digit values, i.e. leaving J
+    requires gamma_i != p-1 and entering J requires gamma_i != 0."""
+    J, p = shape.J, shape.tau.p_
+    return all(gamma[i] != (0 if i in J else p - 1) for i in shape.transitions)
+
+
 def p_tau(tau):
-    """Shapes whose transitions avoid the forbidden digit values: leaving
-    J requires gamma_i != p-1, entering J requires gamma_i != 0."""
-    if tau.is_scalar:
-        return [Shape(tau, frozenset())]
+    """The admissible shapes, in the order of shapes_for."""
     gamma = gamma_digits(tau)
-    p = tau.p_
-    fp = tau.fprime
-    out = []
-    for shape in shapes_for(tau):
-        J = shape.J
-        ok = True
-        for i in range(fp):
-            prev_in = (i - 1) % fp in J
-            cur_in = i in J
-            if prev_in and not cur_in and gamma[i] == p - 1:
-                ok = False
-                break
-            if not prev_in and cur_in and gamma[i] == 0:
-                ok = False
-                break
-        if ok:
-            out.append(shape)
-    return out
+    return [shape for shape in shapes_for(tau) if is_admissible(shape, gamma)]
 
 
 def refined_shapes(tau, J):
     """All admissible y-vectors for the shape, lexicographically ordered."""
     shape = _to_shape(tau, J)
-    e = tau.ctx.e
-    trans = _reduced_mod_f(transitions(shape), tau)
-    ranges = [range(1 if i in trans else 0, e + 1) for i in range(tau.ctx.f)]
-    return [RefinedShape(shape, y) for y in itertools.product(*ranges)]
+    return [RefinedShape(shape, y) for y in itertools.product(*shape.y_ranges)]
+
+
+def refined_count(tau, J):
+    """len(refined_shapes(tau, J)), without building the refined shapes."""
+    return math.prod(len(rng) for rng in _to_shape(tau, J).y_ranges)
 
 
 def maximal_refined(tau, J):
@@ -154,7 +150,7 @@ def build_MN(tau, refined):
     J = shape.J
     fp, ekk, ep = tau.fprime, tau.ekk, tau.eprime
     c, d = _cd_vectors(tau, J)
-    trans = transitions(shape)
+    trans = shape.transitions
     r = []
     for i in range(fp):
         yi = refined.y[i % tau.ctx.f]
@@ -166,7 +162,7 @@ def build_MN(tau, refined):
     ones = (1,) * fp
     m = validate(tau.ctx, tau.kind, tuple(r), ones, c)
     n = validate(tau.ctx, tau.kind, s, ones, d)
-    assert _pair_has_type(m, n, tau)
+    check(_pair_has_type(m, n, tau), "standard pair is not of the type")
     return m, n
 
 
@@ -192,7 +188,7 @@ def shape_of_pair(m, n, tau):
     else:
         J = frozenset(i for i in range(tau.fprime) if m.c[i] == tau.kvec[i])
     shape = Shape(tau, J)
-    trans = transitions(shape)
+    trans = shape.transitions
     ekk = tau.ekk
     y = []
     for i in range(tau.ctx.f):
@@ -221,9 +217,9 @@ def gamma_star(tau, J):
     gs = tuple(p - 1 - gamma[i] if (i - 1) % fp in Jset else gamma[i]
                for i in range(fp))
     c, d = _cd_vectors(tau, Jset)
-    for i in transitions(shape):
+    for i in shape.transitions:
         lhs = p * ((d[i - 1] - c[i - 1]) % ekk) - (c[i] - d[i]) % ekk
-        assert lhs == gs[i] * ekk, "twisted digit identity failed (internal error)"
+        check(lhs == gs[i] * ekk, "twisted digit identity failed")
     return gs
 
 
@@ -237,26 +233,27 @@ def _count_congruent(lo, hi, residue, mod):
     return (hi - 1 - first) // mod + 1
 
 
+def _ext_beyond_hom(m, n, height1=False):
+    """dim Ext^1(M, N) - dim Hom(M, N): per index, the count of admissible
+    degrees below r_i (and at least r_i + s_i - e' for height one)."""
+    _same_frame(m, n)
+    ekk = m.ekk
+    total = 0
+    for i in range(m.ctx.f):
+        lo = max(0, m.r[i] + n.r[i] - m.eprime) if height1 else 0
+        total += _count_congruent(lo, m.r[i], (m.r[i] + m.c[i] - n.c[i]) % ekk, ekk)
+    return total
+
+
 def ext_dim(m, n):
     """Closed-form dim Ext^1(M, N): Hom contribution plus, per index, the
     count of admissible degrees below r_i."""
-    _same_frame(m, n)
-    ekk = m.ekk
-    total = hom_dim(m, n)
-    for i in range(m.ctx.f):
-        total += _count_congruent(0, m.r[i], (m.r[i] + m.c[i] - n.c[i]) % ekk, ekk)
-    return total
+    return hom_dim(m, n) + _ext_beyond_hom(m, n)
 
 
 def ext_dim_height1(m, n):
     """Same count restricted to extensions of height at most one."""
-    _same_frame(m, n)
-    ekk = m.ekk
-    total = hom_dim(m, n)
-    for i in range(m.ctx.f):
-        lo = max(0, m.r[i] + n.r[i] - m.eprime)
-        total += _count_congruent(lo, m.r[i], (m.r[i] + m.c[i] - n.c[i]) % ekk, ekk)
-    return total
+    return hom_dim(m, n) + _ext_beyond_hom(m, n, height1=True)
 
 
 def _default_trunc(ctx):
@@ -349,7 +346,7 @@ def kext_dim(tau, J, prod_a, prod_b):
         count = 0
     else:
         gs = gamma_star(tau, shape)
-        trans = transitions(shape)
+        trans = shape.transitions
         count = sum(1 for i in range(tau.ctx.f) if i in _reduced_mod_f(trans, tau)
                     and gs[i] == 0)
     if tau.ctx.e == 1 and prod_a == prod_b and count == tau.ctx.f:

@@ -10,7 +10,7 @@ the two characters in base p.
 
 from dataclasses import dataclass
 
-from .errors import BadResidue, CuspidalDegenerate, NotPrime, NotSupported
+from .errors import BadResidue, CuspidalDegenerate, NotPrime, NotSupported, check
 from .gfarith import build_field, is_prime
 
 PS = "ps"
@@ -149,11 +149,12 @@ def gamma_digits(tau):
     p, ekk, fp = tau.p_, tau.ekk, tau.fprime
     kv, kpv = tau.kvec, tau.kpvec
     gamma = tuple(((kv[i] - kpv[i]) % ekk) % p for i in range(fp))
-    assert not all(g == p - 1 for g in gamma)
-    assert tau.is_scalar == all(g == 0 for g in gamma)
+    check(not all(g == p - 1 for g in gamma), "digit vector is all p-1")
+    check(tau.is_scalar == all(g == 0 for g in gamma), "zero digits iff scalar")
     if tau.kind == CUSPIDAL:
         f = tau.ctx.f
-        assert all(gamma[i] + gamma[(i + f) % fp] == p - 1 for i in range(fp))
+        check(all(gamma[i] + gamma[(i + f) % fp] == p - 1 for i in range(fp)),
+              "cuspidal digits are not complementary under the shift by f")
     return gamma
 
 

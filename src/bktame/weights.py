@@ -15,7 +15,7 @@ from .errors import InvalidShape, NotInPTau, ScalarType, SteinbergWeight
 from .gfarith import _digits
 from .intlinalg import IntegerColumnSolver
 from .rng import SplitMix64
-from .shapes import _to_shape, p_tau
+from .shapes import _to_shape, is_admissible, p_tau
 from .tametypes import CUSPIDAL, PS, enumerate_types, gamma_digits
 
 ZERO = "zero"
@@ -115,7 +115,7 @@ def weight_formula_data(tau, J):
 def sigma_tau_J(tau, J):
     """The Serre weight attached to a shape in the admissible set."""
     shape = _to_shape(tau, J)
-    if shape not in p_tau(tau):
+    if shape.tau != tau or not is_admissible(shape, gamma_digits(tau)):
         raise NotInPTau("shape %s is not admissible for %s"
                         % (sorted(shape.J), tau.label()))
     data = weight_formula_data(tau, shape)

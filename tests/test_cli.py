@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bktame import LocalContext, all_weights, intlinalg
+from bktame import LocalContext, all_weights, cli, intlinalg, shapes
 from bktame.cli import run
 
 # sha256 of the rendered report; any change to these bytes is a change of output
@@ -12,6 +12,10 @@ REPORT_SHA256 = {
         "b85c6a3a1431ac893dab6001c588a36597a2700b377fb497ad993f379d2567fb",
     "ptau -p 3 -f 2":
         "86a5154f45cc9a533554600f2ad2731e0cbf163034993d86fc1fffc85881139b",
+    "ptau -p 3 -f 2 -e 2 --ordered":
+        "3c22c0b514237c4ec376174c3878de71cf144cc090a6582056632c173174be14",
+    "weights -p 3 -f 2":
+        "8b0367360313ba8085c466ed55d9ed644011112e9ef802741d6b7656dff80a92",
     "weights -p 5 -f 1 --format csv":
         "eb3e26cdd8491a39d6431d5bb022641a4ba43a5bca99312b6f74d9e55c831450",
     "oracle -p 3 -f 1 -e 2 --samples 40 --seed 5":
@@ -78,6 +82,30 @@ def test_ptau_report():
     report2, _ = run_json(["ptau", "-p", "3", "-f", "1", "--type", "cusp:1"])
     flags = {it["key"]: it["in_ptau"] for it in report2["items"]}
     assert flags == {"cusp:1|J={0}": False, "cusp:1|J={1}": True}
+
+
+def test_ptau_does_each_shape_and_type_once(monkeypatch):
+    built, listed, digits = [], [], []
+
+    def counting(log, fn):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(shapes.RefinedShape, "__post_init__",
+                        counting(built, shapes.RefinedShape.__post_init__))
+    shapes_for = counting(listed, shapes.shapes_for)
+    gamma_digits = counting(digits, shapes.gamma_digits)
+    for module in (shapes, cli):
+        monkeypatch.setattr(module, "shapes_for", shapes_for)
+        monkeypatch.setattr(module, "gamma_digits", gamma_digits)
+    report, code = run_json(["ptau", "-p", "3", "-f", "2"])
+    assert code == 0
+    types = sorted({it["type"] for it in report["items"]})
+    assert len(built) == len(report["items"])       # the maximal refined shape only
+    assert sorted(tau.label() for (tau,) in listed) == types
+    assert sorted(tau.label() for (tau,) in digits) == types
 
 
 def test_weights_report_has_dimension_checks():

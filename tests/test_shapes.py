@@ -2,12 +2,12 @@ import pytest
 
 from bktame import (CUSPIDAL, PS, ExtClass, InvalidShape, LocalContext,
                     NoNonzeroMap, NotTypeTau, Shape, TruncSeries, build_MN,
-                    build_field, check_height_and_det, ext_dim,
-                    ext_dim_height1, exhaustive_modules, family_dim,
-                    gamma_star, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
-                    make_type, maximal_refined, oracle_dims, p_tau,
-                    random_module, refined_shapes, shape_of_pair, shapes_for,
-                    transitions, validate)
+                    build_field, check_height_and_det, enumerate_types,
+                    ext_dim, ext_dim_height1, exhaustive_modules, family_dim,
+                    gamma_digits, gamma_star, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
+                    is_admissible, make_type, maximal_refined, oracle_dims,
+                    p_tau, random_module, refined_count, refined_shapes,
+                    shape_of_pair, shapes_for, validate)
 from bktame.rng import SplitMix64
 
 CTX = LocalContext(3, 1, 1)
@@ -16,9 +16,9 @@ TAU_C = make_type(CTX, CUSPIDAL, 1)
 
 
 def test_transitions_examples():
-    assert transitions(Shape(TAU_PS, frozenset({0}))) == frozenset()
-    assert transitions(Shape(TAU_C, frozenset({1}))) == frozenset({0, 1})
-    assert transitions(Shape(TAU_PS, frozenset())) == frozenset()
+    assert Shape(TAU_PS, frozenset({0})).transitions == frozenset()
+    assert Shape(TAU_C, frozenset({1})).transitions == frozenset({0, 1})
+    assert Shape(TAU_PS, frozenset()).transitions == frozenset()
 
 
 def test_shape_validation():
@@ -42,6 +42,42 @@ def test_refined_shape_counts():
     tau = make_type(ctx_e2, PS, 1, 0)
     assert len(refined_shapes(tau, {0})) == 3        # y0 in {0, 1, 2}
     assert maximal_refined(tau, {0}).y == (2,)
+
+
+def _sweep_types():
+    """Every ordered type at p in {3, 5}, f in {1, 2}, e in {1, 2, 3}, and
+    at p=3 f=3 e=1."""
+    contexts = [(p, f, e) for p in (3, 5) for f in (1, 2) for e in (1, 2, 3)]
+    for p, f, e in contexts + [(3, 3, 1)]:
+        yield from enumerate_types(LocalContext(p, f, e))
+
+
+def test_refined_count_is_the_number_of_refined_shapes():
+    for tau in _sweep_types():
+        for shape in shapes_for(tau):
+            assert refined_count(tau, shape) == len(refined_shapes(tau, shape))
+
+
+def _admissible_by_definition(shape, gamma):
+    """Leaving J at i needs gamma_i != p-1; entering J at i needs gamma_i != 0."""
+    fp, J, p = shape.tau.fprime, shape.J, shape.tau.p_
+    for i in range(fp):
+        prev_in, cur_in = (i - 1) % fp in J, i in J
+        if prev_in and not cur_in and gamma[i] == p - 1:
+            return False
+        if cur_in and not prev_in and gamma[i] == 0:
+            return False
+    return True
+
+
+def test_admissibility_predicate_agrees_with_p_tau():
+    for tau in _sweep_types():
+        gamma = gamma_digits(tau)
+        admissible = set(p_tau(tau))
+        for shape in shapes_for(tau):
+            verdict = is_admissible(shape, gamma)
+            assert verdict == (shape in admissible)
+            assert verdict == _admissible_by_definition(shape, gamma)
 
 
 def test_build_MN_ps_example():

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from bktame import (CUSPIDAL, PS, BadResidue, CuspidalDegenerate,
                     LocalContext, NotSupported, enumerate_types,
                     gamma_digits, make_type)
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def ctx31():
@@ -105,3 +111,19 @@ def test_ps_swap_complements_gamma():
         swapped = tuple(gamma_digits(tau.swap()))
         # digit-wise complement of the not-all-(p-1) normal form
         assert swapped == tuple(4 - g for g in gamma)
+
+
+def test_gamma_digits_checks_survive_python_O():
+    # a cuspidal type whose second exponent is not the q-power twist of the
+    # first (built directly, bypassing make_type) has all-zero digits
+    script = (
+        "from bktame import CUSPIDAL, InternalError, LocalContext, TameType, gamma_digits\n"
+        "tau = TameType(LocalContext(3, 1, 1), CUSPIDAL, 1, 1)\n"
+        "try:\n"
+        "    gamma_digits(tau)\n"
+        "except InternalError as exc:\n"
+        "    print('debug=%s raised: %s' % (__debug__, exc))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.startswith("debug=False raised: zero digits iff scalar")
