@@ -24,9 +24,10 @@ print("s * t:", s * t)
 print("s + t:", s + t)
 
 # Dense row reduction over any of these fields: rank, kernel, cokernel.
+# Rows hold field-element indices; over a prime field that is the residue.
 F3 = build_field(3, 1)
-rows = [[F3.elem(1), F3.elem(2), F3.elem(0)],
-        [F3.elem(2), F3.elem(1), F3.elem(0)]]
-rank = gauss_rank([list(r) for r in rows])
+rows = [[1, 2, 0],
+        [2, 1, 0]]
+rank = gauss_rank([list(r) for r in rows], F3)
 print("\nrank/kernel/cokernel of a 2x3 map over GF(3):",
       (rank, 3 - rank, 2 - rank))

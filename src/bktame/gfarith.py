@@ -7,11 +7,14 @@ irreducible (coefficients compared low degree first), so construction is
 deterministic without external tables.  A field element is its index
 sum(coeffs[j] * p^j); fields of order up to 2^16 get exp/log tables keyed
 by index, so multiplying, inverting and raising to powers are lookups.
+FieldSpec does the arithmetic on bare indices; FieldElem wraps an index
+for callers that want operators, and row reduction works on index lists.
 """
 
 from functools import lru_cache
 
-from .errors import DegreeTooLarge, NotPrime, RangeError, TruncationExceeded
+from .errors import (DegreeTooLarge, InternalError, NotPrime, RangeError,
+                     TruncationExceeded)
 
 _TABLE_LIMIT = 1 << 16
 
@@ -146,13 +149,43 @@ class FieldSpec:
             idx = idx * self.p + c
         return idx
 
-    def _add(self, a, b, sign):
+    def add(self, a, b, sign=1):
         """Index of a + sign * b, digit by digit mod p."""
-        p, out, place = self.p, 0, 1
+        p = self.p
+        if self.m == 1:
+            return (a + sign * b) % p
+        out, place = 0, 1
         while a or b:
             out += (a + sign * b) % p * place
             a, b, place = a // p, b // p, place * p
         return out
+
+    def neg(self, a):
+        return self.add(0, a, -1)
+
+    def mul(self, a, b):
+        """Index of the product of indices a and b."""
+        if self._log is None:
+            return self._raw_mul(a, b)
+        if not a or not b:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+
+    def inv(self, a):
+        """Index of the inverse of index a: a table lookup, or extended Euclid
+        against the modulus on untabled fields."""
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        if self._log is not None:
+            return self._exp[-self._log[a] % (self.order - 1)]
+        p = self.p
+        a, b = _ptrim(_digits(a, p, self.m)), self.modulus
+        s0, s1 = (1,), ()
+        while b:
+            q, r = _pdivmod(a, b, p)
+            a, b = b, r
+            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+        return self._index_of_coeffs(_pmul(s0, (pow(a[-1], p - 2, p),), p))
 
     def _build_tables(self):
         """_exp[k] is the index of g^k, _log its inverse (g = self._gen)."""
@@ -181,7 +214,7 @@ class FieldSpec:
             if all(_ppowmod(cpoly, qm1 // ell, self.modulus, self.p) != (1,)
                    for ell in primes):
                 return idx
-        raise AssertionError("no multiplicative generator found")
+        raise InternalError("no multiplicative generator found (internal error)")
 
     def elem(self, coeffs):
         """An int is taken mod p; a tuple gives the coefficients, zero-padded to m."""
@@ -206,6 +239,8 @@ class FieldSpec:
         return FieldElem(self, self._gen)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FieldSpec)
                 and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
 
@@ -233,7 +268,7 @@ def build_field(p, m):
         cand = _digits(idx, p, m) + (1,)
         if _is_irreducible(cand, m, p):
             return FieldSpec(p, m, cand)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InternalError("no irreducible polynomial found (internal error)")
 
 
 class FieldElem:
@@ -262,7 +297,7 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElem(self.owner, self.owner._add(self.idx, other.idx, 1))
+        return FieldElem(self.owner, self.owner.add(self.idx, other.idx))
 
     __radd__ = __add__
 
@@ -270,43 +305,24 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElem(self.owner, self.owner._add(self.idx, other.idx, -1))
+        return FieldElem(self.owner, self.owner.add(self.idx, other.idx, -1))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return FieldElem(self.owner, self.owner._add(0, self.idx, -1))
+        return FieldElem(self.owner, self.owner.neg(self.idx))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        F = self.owner
-        if F._log is None:
-            return FieldElem(F, F._raw_mul(self.idx, other.idx))
-        if not self.idx or not other.idx:
-            return FieldElem(F, 0)
-        return FieldElem(F, F._exp[(F._log[self.idx] + F._log[other.idx]) % (F.order - 1)])
+        return FieldElem(self.owner, self.owner.mul(self.idx, other.idx))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        F = self.owner
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        if F._log is not None:
-            return FieldElem(F, F._exp[-F._log[self.idx] % (F.order - 1)])
-        # extended euclid against the modulus
-        a, b = _ptrim(self.coeffs), F.modulus
-        s0, s1 = (1,), ()
-        while b:
-            q, r = _pdivmod(a, b, F.p)
-            a, b = b, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, F.p), F.p)
-        lead_inv = pow(a[-1], F.p - 2, F.p)
-        inv = _pmul(s0, (lead_inv,), F.p)
-        return F.elem(inv)
+        return FieldElem(self.owner, self.owner.inv(self.idx))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -471,10 +487,11 @@ class TruncSeries:
         return "<%s%s>" % (body, tail)
 
 
-def gauss_rank(rows):
-    """Row-reduce a list of FieldElem lists in place; returns the rank."""
+def gauss_rank(rows, field):
+    """Row-reduce a list of index lists over field in place; returns the rank."""
     if not rows:
         return 0
+    mul, add = field.mul, field.add
     ncols = len(rows[0])
     rank = 0
     for col in range(ncols):
@@ -486,12 +503,12 @@ def gauss_rank(rows):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
+        inv = field.inv(rows[rank][col])
+        prow = rows[rank] = [mul(x, inv) for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+                rows[r] = [add(a, mul(factor, b), -1) for a, b in zip(rows[r], prow)]
         rank += 1
         if rank == len(rows):
             break
@@ -499,9 +516,10 @@ def gauss_rank(rows):
 
 
 def nullspace_basis(rows, ncols, field):
-    """Basis of the kernel of the matrix (rows over FieldElem)."""
+    """Basis of the kernel of the matrix given as index lists over field;
+    each basis vector is an index list of length ncols."""
     work = [list(r) for r in rows]
-    rank = gauss_rank(work)
+    rank = gauss_rank(work, field)
     work = work[:rank]
     pivots = []
     for r in range(rank):
@@ -512,10 +530,9 @@ def nullspace_basis(rows, ncols, field):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
-        vec = [field.zero()] * ncols
-        vec[fcol] = field.one()
+        vec = [0] * ncols
+        vec[fcol] = 1
         for r, pcol in enumerate(pivots):
-            vec[pcol] = -work[r][fcol]
+            vec[pcol] = field.neg(work[r][fcol])
         basis.append(vec)
     return basis
-

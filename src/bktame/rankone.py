@@ -9,9 +9,11 @@ all of length f' and periodic with period dividing f.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (CongruenceFailed, ContextMismatch, KindMismatch,
-                     NotSupported, PeriodError, RangeError, ZeroCoefficient)
+                     NotSupported, PeriodError, RangeError, ZeroCoefficient,
+                     check)
 from .gfarith import FieldElem
 from .tametypes import CUSPIDAL, LocalContext
 
@@ -50,6 +52,16 @@ class RankOneBK:
         for i in range(self.ctx.f):
             prod = prod * self.a[i]
         return prod
+
+    @cached_property
+    def alpha_vector(self):
+        """alpha(self), computed once per module."""
+        return alpha(self)
+
+    @cached_property
+    def galois_character(self):
+        """galois_char(self), computed once per module."""
+        return galois_char(self)
 
 
 @dataclass(frozen=True)
@@ -144,18 +156,17 @@ def alpha(mod):
         num = 0
         for t in range(fp):
             num += p ** (fp - 1 - t) * mod.r[(i - fp + 1 + t) % fp]
-        if num % ekk != 0:
-            raise AssertionError("alpha numerator not divisible (internal error)")
+        check(num % ekk == 0, "alpha numerator not divisible")
         out.append(num // ekk)
-    for i in range(fp):
-        assert p * out[i - 1] - out[i] == mod.r[i]
+    check(all(p * out[i - 1] - out[i] == mod.r[i] for i in range(fp)),
+          "alpha breaks p*alpha[i-1] - alpha[i] = r[i]")
     return tuple(out)
 
 
 def galois_char(mod):
     """Associated Galois character: tame exponent c_0 - alpha_0, unramified
     part the product of the a_i over i = 0..f-1."""
-    al = alpha(mod)
+    al = mod.alpha_vector
     return GaloisChar(mod.ekk, (mod.c[0] - al[0]) % mod.ekk, mod.unram_product())
 
 
@@ -167,7 +178,7 @@ def _same_frame(m, n):
 def same_generic_fibre(m, n):
     """Whether the two modules have equal associated Galois characters."""
     _same_frame(m, n)
-    return galois_char(m) == galois_char(n)
+    return m.galois_character == n.galois_character
 
 
 def is_isomorphic(m, n):
@@ -181,8 +192,7 @@ def hom_dim(m, n):
     _same_frame(m, n)
     if not same_generic_fibre(m, n):
         return 0
-    am, an = alpha(m), alpha(n)
-    return 1 if all(x >= y for x, y in zip(am, an)) else 0
+    return 1 if all(x >= y for x, y in zip(m.alpha_vector, n.alpha_vector)) else 0
 
 
 def twist_conjugate(mod):

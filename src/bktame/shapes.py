@@ -18,8 +18,8 @@ from functools import cached_property
 from .errors import (ContextMismatch, InvalidShape, NoNonzeroMap, NotTypeTau,
                      TruncationUnstable, check)
 from .gfarith import gauss_rank, nullspace_basis
-from .rankone import (RankOneBK, _same_frame, alpha, hom_dim,
-                      same_generic_fibre, twist_conjugate, validate)
+from .rankone import (RankOneBK, _same_frame, hom_dim, same_generic_fibre,
+                      twist_conjugate, validate)
 from .tametypes import CUSPIDAL, TameType, gamma_digits
 
 
@@ -47,6 +47,28 @@ class Shape:
         """Indices i with exactly one of i-1, i in J (computed once per shape)."""
         fp, J = self.tau.fprime, self.J
         return frozenset(i for i in range(fp) if ((i - 1) % fp in J) != (i in J))
+
+    @cached_property
+    def gamma_star(self):
+        """Digit vector twisted by the shape: complemented where i-1 lies in J.
+
+        At every transition the defining identity
+        p*[d_{i-1} - c_{i-1}] - [c_i - d_i] = gamma*_i (p^{f'} - 1) is checked.
+        Computed once per shape.
+        """
+        tau = self.tau
+        if tau.is_scalar:
+            raise InvalidShape("gamma* is defined for nonscalar types")
+        gamma = gamma_digits(tau)
+        p, fp, ekk = tau.p_, tau.fprime, tau.ekk
+        J = self.J
+        gs = tuple(p - 1 - gamma[i] if (i - 1) % fp in J else gamma[i]
+                   for i in range(fp))
+        c, d = _cd_vectors(tau, J)
+        for i in self.transitions:
+            lhs = p * ((d[i - 1] - c[i - 1]) % ekk) - (c[i] - d[i]) % ekk
+            check(lhs == gs[i] * ekk, "twisted digit identity failed")
+        return gs
 
     @cached_property
     def y_ranges(self):
@@ -203,24 +225,8 @@ def shape_of_pair(m, n, tau):
 
 
 def gamma_star(tau, J):
-    """Digit vector twisted by the shape: complemented where i-1 lies in J.
-
-    At every transition the defining identity
-    p*[d_{i-1} - c_{i-1}] - [c_i - d_i] = gamma*_i (p^{f'} - 1) is checked.
-    """
-    shape = _to_shape(tau, J)
-    if tau.is_scalar:
-        raise InvalidShape("gamma* is defined for nonscalar types")
-    gamma = gamma_digits(tau)
-    p, fp, ekk = tau.p_, tau.fprime, tau.ekk
-    Jset = shape.J
-    gs = tuple(p - 1 - gamma[i] if (i - 1) % fp in Jset else gamma[i]
-               for i in range(fp))
-    c, d = _cd_vectors(tau, Jset)
-    for i in shape.transitions:
-        lhs = p * ((d[i - 1] - c[i - 1]) % ekk) - (c[i] - d[i]) % ekk
-        check(lhs == gs[i] * ekk, "twisted digit identity failed")
-    return gs
+    """The shape's twisted digit vector (see Shape.gamma_star)."""
+    return _to_shape(tau, J).gamma_star
 
 
 def _count_congruent(lo, hi, residue, mod):
@@ -263,8 +269,8 @@ def _default_trunc(ctx):
 def _complex_matrix(m, n, level):
     """The truncated differential of the explicit two-term complex.
 
-    Returns (columns, col_keys, out_dim): column vectors over the
-    coefficient field on the monomial basis of the degree-constrained
+    Returns (columns, col_keys, out_dim): column vectors, as {slot: field
+    element index}, on the monomial basis of the degree-constrained
     target truncated at v^level, plus (index, degree) keys of the domain
     basis.  v = u^{p^{f'}-1}.
     """
@@ -286,12 +292,12 @@ def _complex_matrix(m, n, level):
             d1 = m.r[i] + deg
             slot = out_slot.get((i, d1))
             if slot is not None:
-                col[slot] = col.get(slot, field.zero()) - m.a[i]
+                col[slot] = field.add(col.get(slot, 0), m.a[i].idx, -1)
             j = (i + 1) % f
             d2 = n.r[j] + m.ctx.p * deg
             slot = out_slot.get((j, d2))
             if slot is not None:
-                col[slot] = col.get(slot, field.zero()) + n.a[j]
+                col[slot] = field.add(col.get(slot, 0), n.a[j].idx)
             cols.append(col)
             keys.append((i, deg))
     return cols, keys, f * level
@@ -300,18 +306,18 @@ def _complex_matrix(m, n, level):
 def _dims_at_level(m, n, level):
     cols, keys, out_dim = _complex_matrix(m, n, level)
     field = m.field
-    rows = [[field.zero()] * len(cols) for _ in range(out_dim)]
+    rows = [[0] * len(cols) for _ in range(out_dim)]
     for cidx, col in enumerate(cols):
         for slot, val in col.items():
             rows[slot][cidx] = val
-    rank_full = gauss_rank([row[:] for row in rows])
+    rank_full = gauss_rank([row[:] for row in rows], field)
     ext = out_dim - rank_full
     # Hom is the kernel after quotienting the domain by the preimage of
     # v^level under the Frobenius-precomposition map: keep only columns
     # whose monomial survives multiplication by u^{r_i}.
     keep = [idx for idx, (i, deg) in enumerate(keys) if m.r[i] + deg < level * m.ekk]
     sub = [[row[idx] for idx in keep] for row in rows]
-    hom = len(keep) - gauss_rank(sub)
+    hom = len(keep) - gauss_rank(sub, field)
     return ext, hom
 
 
@@ -345,10 +351,9 @@ def kext_dim(tau, J, prod_a, prod_b):
     if tau.is_scalar:
         count = 0
     else:
-        gs = gamma_star(tau, shape)
-        trans = shape.transitions
-        count = sum(1 for i in range(tau.ctx.f) if i in _reduced_mod_f(trans, tau)
-                    and gs[i] == 0)
+        gs = shape.gamma_star
+        low = _reduced_mod_f(shape.transitions, tau)
+        count = sum(1 for i in range(tau.ctx.f) if i in low and gs[i] == 0)
     if tau.ctx.e == 1 and prod_a == prod_b and count == tau.ctx.f:
         return tau.ctx.f - 1
     return count
@@ -372,27 +377,26 @@ def kext_dim_oracle(m, n):
         for D in range(start, ep + 1, ekk):
             unknowns.append((i, D))
     pos = {key: idx for idx, key in enumerate(unknowns)}
-    rows = {}
+    rows = {}   # (index i, negative degree) -> row of field-element indices
 
     def add(i, deg, key, val):
         if deg >= 0:
             return
-        row = rows.setdefault((i, deg), [field.zero()] * len(unknowns))
-        row[pos[key]] = row[pos[key]] + val
+        row = rows.setdefault((i, deg), [0] * len(unknowns))
+        row[pos[key]] = field.add(row[pos[key]], val)
 
     for i in range(f):
         for (j, D) in unknowns:
             if j == i:
-                add(i, m.r[i] - D, (j, D), m.a[i])
+                add(i, m.r[i] - D, (j, D), m.a[i].idx)
             if j == (i - 1) % f:
-                add(i, n.r[i] - p * D, (j, D), -n.a[i])
+                add(i, n.r[i] - p * D, (j, D), field.neg(n.a[i].idx))
     basis = nullspace_basis(list(rows.values()), len(unknowns), field)
     # solutions must respect the sharper pole bound floor(e'/(p-1))
     bound = ep // (p - 1)
-    for vec in basis:
-        for idx, val in enumerate(vec):
-            assert not val or unknowns[idx][1] <= bound, \
-                "principal-part solution breaks the pole bound (internal error)"
+    check(all(not val or unknowns[idx][1] <= bound
+              for vec in basis for idx, val in enumerate(vec)),
+          "principal-part solution breaks the pole bound")
     hom_quot = len(basis)
     hom_galois = 1 if same_generic_fibre(m, n) else 0
     return hom_quot - (hom_galois - hom_dim(m, n))
@@ -459,13 +463,13 @@ def irred_bound(m, n):
     if hom_dim(n, twisted) != 1:
         raise NoNonzeroMap("no nonzero map from N to the conjugate twist of M")
     f, fp, ekk = m.ctx.f, m.fprime, m.ekk
-    am, an = alpha(m), alpha(n)
+    am, an = m.alpha_vector, n.alpha_vector
     x = tuple(an[i] - am[(i + f) % fp] for i in range(fp))
-    assert all(x[i] == x[(i + f) % fp] for i in range(fp))
-    for i in range(fp):
-        if (x[i] - (n.c[i] - m.c[(i + f) % fp])) % ekk != 0:
-            raise AssertionError("exponent gap congruence failed (internal error)")
+    check(all(x[i] == x[(i + f) % fp] for i in range(fp)),
+          "exponent gaps are not periodic with period f")
+    check(all((x[i] - (n.c[i] - m.c[(i + f) % fp])) % ekk == 0 for i in range(fp)),
+          "exponent gap congruence failed")
     D = 1 + sum(-(-x[i] // ekk) for i in range(f))
     cap = 1 + -(-m.ctx.e // (m.ctx.p - 1)) * f
-    assert D <= cap
+    check(D <= cap, "dimension bound exceeds the coarse cap")
     return {"x": x, "D": D, "cap": cap}

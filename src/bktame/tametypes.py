@@ -41,30 +41,44 @@ class LocalContext:
                 and self.f * self.e <= MAX_FE):
             raise NotSupported("context (p=%d, f=%d, e=%d) beyond desk-scale caps"
                                % (self.p, self.f, self.e))
+        # per-kind invariants, computed once; not fields, so eq/hash/repr ignore them
+        fprime = {PS: self.f, CUSPIDAL: 2 * self.f}
+        ekk = {kind: self.p ** fp - 1 for kind, fp in fprime.items()}
+        object.__setattr__(self, "_fprime", fprime)
+        object.__setattr__(self, "_ekk", ekk)
+        object.__setattr__(self, "_eprime", {kind: self.e * n for kind, n in ekk.items()})
+        object.__setattr__(self, "_ppow", {
+            kind: tuple(pow(self.p, i, ekk[kind]) for i in range(fp))
+            for kind, fp in fprime.items()})
 
     @property
     def q(self):
         return self.p ** self.f
 
     def fprime(self, kind):
-        _check_kind(kind)
-        return self.f if kind == PS else 2 * self.f
+        return _of_kind(self._fprime, kind)
 
     def ekk(self, kind):
         """Ramification of the auxiliary Kummer extension: p^{f'} - 1."""
-        return self.p ** self.fprime(kind) - 1
+        return _of_kind(self._ekk, kind)
 
     def eprime(self, kind):
-        return self.e * self.ekk(kind)
+        return _of_kind(self._eprime, kind)
+
+    def p_powers(self, kind):
+        """p^i mod p^{f'} - 1, for i = 0..f'-1."""
+        return _of_kind(self._ppow, kind)
 
     def coefficient_field(self, kind):
         """GF(p^{f'}); the coefficient field all module data lives in."""
         return build_field(self.p, self.fprime(kind))
 
 
-def _check_kind(kind):
-    if kind not in KINDS:
-        raise NotSupported("unknown type kind %r" % (kind,))
+def _of_kind(table, kind):
+    try:
+        return table[kind]
+    except (KeyError, TypeError):
+        raise NotSupported("unknown type kind %r" % (kind,)) from None
 
 
 @dataclass(frozen=True)
@@ -95,13 +109,15 @@ class TameType:
     @property
     def kvec(self):
         """k_i = p^i k0 mod p^{f'} - 1, for i = 0..f'-1."""
-        return tuple(pow(self.p_, i, self.ekk) * self.k0 % self.ekk
-                     for i in range(self.fprime))
+        return self._frobenius_orbit(self.k0)
 
     @property
     def kpvec(self):
-        return tuple(pow(self.p_, i, self.ekk) * self.k0p % self.ekk
-                     for i in range(self.fprime))
+        return self._frobenius_orbit(self.k0p)
+
+    def _frobenius_orbit(self, k):
+        ekk = self.ekk
+        return tuple(pw * k % ekk for pw in self.ctx.p_powers(self.kind))
 
     @property
     def p_(self):
@@ -121,7 +137,6 @@ class TameType:
 
 def make_type(ctx, kind, k0, k0p=None):
     """Validated tame type; cuspidal input supplies only k0."""
-    _check_kind(kind)
     ekk = ctx.ekk(kind)
     if not 0 <= k0 < ekk:
         raise BadResidue("k0 = %d not reduced mod %d" % (k0, ekk))

@@ -1,9 +1,10 @@
+import functools
 import hashlib
 import json
 
 import pytest
 
-from bktame import LocalContext, all_weights, cli, intlinalg, shapes
+from bktame import LocalContext, all_weights, cli, intlinalg, rankone, shapes
 from bktame.cli import run
 
 # sha256 of the rendered report; any change to these bytes is a change of output
@@ -106,6 +107,31 @@ def test_ptau_does_each_shape_and_type_once(monkeypatch):
     assert len(built) == len(report["items"])       # the maximal refined shape only
     assert sorted(tau.label() for (tau,) in listed) == types
     assert sorted(tau.label() for (tau,) in digits) == types
+
+
+def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):
+    stars, alphas, digits = [], [], []
+
+    def counting(log, fn):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+        return wrapper
+
+    star = functools.cached_property(counting(stars, shapes.Shape.gamma_star.func))
+    star.__set_name__(shapes.Shape, "gamma_star")
+    monkeypatch.setattr(shapes.Shape, "gamma_star", star)
+    monkeypatch.setattr(rankone, "alpha", counting(alphas, rankone.alpha))
+    monkeypatch.setattr(shapes, "gamma_digits", counting(digits, shapes.gamma_digits))
+    report, code = run_json(["oracle", "-p", "3", "-f", "2", "--samples", "1"])
+    assert code == 0
+    kext_rows = [it for it in report["items"] if it["key"].startswith("kext|")]
+    n_shapes = len({(it["type"], tuple(it["J"])) for it in kext_rows})
+    assert n_shapes and len(kext_rows) == 2 * n_shapes   # products eq and ne
+    assert len(stars) == len(set(stars)) == n_shapes
+    assert len(digits) <= n_shapes
+    # modules m, n and the twisted n per shape, plus the 2 pairs of the pair sweep
+    assert len(alphas) <= 3 * n_shapes + 4
 
 
 def test_weights_report_has_dimension_checks():

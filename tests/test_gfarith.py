@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from bktame import (CUSPIDAL, PS, FieldSpec, LocalContext, NotPrime, DegreeTooLarge,
                     RangeError, TruncationExceeded, TruncSeries, build_field,
                     ext_dim, hom_dim, oracle_dims, random_module)
-from bktame.gfarith import _pdivmod, gauss_rank
+from bktame.gfarith import _pdivmod, gauss_rank, nullspace_basis
 from bktame.rng import SplitMix64
 
 
@@ -177,9 +179,8 @@ def test_series_truncation_is_tracked_not_silent():
 
 def test_rank_identity_and_zero():
     F = build_field(3, 1)
-    assert gauss_rank([[F.elem(1 if i == j else 0) for j in range(3)]
-                       for i in range(3)]) == 3
-    assert gauss_rank([[F.zero()] * 5 for _ in range(2)]) == 0
+    assert gauss_rank([[1 if i == j else 0 for j in range(3)] for i in range(3)], F) == 3
+    assert gauss_rank([[0] * 5 for _ in range(2)], F) == 0
 
 
 def test_smallest_ext_instance_cokernel():
@@ -195,22 +196,62 @@ def test_smallest_ext_instance_cokernel():
     F = m.field
     for level in (2, 3):
         cols, _, out_dim = _complex_matrix(m, n, level)
-        rows = [[F.zero()] * len(cols) for _ in range(out_dim)]
+        rows = [[0] * len(cols) for _ in range(out_dim)]
         for j, col in enumerate(cols):
             for slot, val in col.items():
                 rows[slot][j] = val
-        assert out_dim - gauss_rank(rows) == 2
+        assert out_dim - gauss_rank(rows, F) == 2
 
 
 def test_rank_invariant_under_seeded_shuffle():
     F = build_field(5, 1)
     rng = SplitMix64(99)
-    rows = [[F.elem(rng.below(5)) for _ in range(6)] for _ in range(4)]
-    base = gauss_rank([list(r) for r in rows])
+    rows = [[rng.below(5) for _ in range(6)] for _ in range(4)]
+    base = gauss_rank([list(r) for r in rows], F)
     for seed in range(5):
         sh = SplitMix64(seed)
         perm_rows = sh.shuffle([list(r) for r in rows])
         cols = list(range(6))
         sh.shuffle(cols)
         shuffled = [[row[c] for c in cols] for row in perm_rows]
-        assert gauss_rank(shuffled) == base
+        assert gauss_rank(shuffled, F) == base
+
+
+def _dot(F, row, x):
+    total = 0
+    for a, b in zip(row, x):
+        total = F.add(total, F.mul(a, b))
+    return total
+
+
+def _brute_force_kernel_size(F, rows, ncols, values):
+    """#{x in values^ncols : rows . x = 0}, by listing every x."""
+    return sum(1 for x in itertools.product(values, repeat=ncols)
+               if all(_dot(F, row, x) == 0 for row in rows))
+
+
+@pytest.mark.parametrize("p,m,ncols", [(3, 1, 5), (3, 2, 3), (7, 2, 2), (7, 6, 3)])
+def test_row_reduction_matches_brute_force_kernel(p, m, ncols):
+    # Index-list gauss_rank / nullspace_basis against |ker| = q^(n - rank).
+    # Where F^n is too large to list (GF(7^6) has no tables and 7^18 vectors)
+    # the counted matrices have prime-subfield entries (indices 0..p-1) and
+    # the count runs over GF(p)^n: rank does not change under field extension.
+    F = build_field(p, m)
+    small = F.order ** ncols <= 5000
+    values = range(F.order) if small else range(p)
+    rng = SplitMix64(1000 * p + m)
+    for _ in range(8):
+        nrows = 1 + rng.below(ncols + 1)
+        for entries, counted in ((values, True), (range(F.order), False)):
+            rows = [[rng.choice(entries) if rng.below(3) else 0 for _ in range(ncols)]
+                    for _ in range(nrows)]
+            # a scaled copy of the first row makes rank deficiency common
+            rows.append([F.mul(rng.choice(entries), x) for x in rows[0]])
+            rank = gauss_rank([list(r) for r in rows], F)
+            basis = nullspace_basis(rows, ncols, F)
+            assert len(basis) == ncols - rank
+            for vec in basis:
+                assert all(_dot(F, row, vec) == 0 for row in rows)
+            if counted:
+                assert (_brute_force_kernel_size(F, rows, ncols, values)
+                        == len(values) ** (ncols - rank))

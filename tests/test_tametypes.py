@@ -27,6 +27,14 @@ def test_context_caps():
     assert ctx.fprime(PS) == 2 and ctx.fprime(CUSPIDAL) == 4
     assert ctx.ekk(PS) == 8 and ctx.ekk(CUSPIDAL) == 80
     assert ctx.eprime(CUSPIDAL) == 160
+    for per_kind in (ctx.fprime, ctx.ekk, ctx.eprime):
+        with pytest.raises(NotSupported):
+            per_kind("sym2")
+    # the per-kind tables are not fields: equality, hash and repr see (p, f, e)
+    twin = LocalContext(3, 2, 2)
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert twin != LocalContext(3, 2, 1)
+    assert repr(ctx) == "LocalContext(p=3, f=2, e=2)"
 
 
 def test_make_type_examples():
@@ -114,16 +122,24 @@ def test_ps_swap_complements_gamma():
 
 
 def test_gamma_digits_checks_survive_python_O():
-    # a cuspidal type whose second exponent is not the q-power twist of the
-    # first (built directly, bypassing make_type) has all-zero digits
-    script = (
-        "from bktame import CUSPIDAL, InternalError, LocalContext, TameType, gamma_digits\n"
-        "tau = TameType(LocalContext(3, 1, 1), CUSPIDAL, 1, 1)\n"
-        "try:\n"
-        "    gamma_digits(tau)\n"
-        "except InternalError as exc:\n"
-        "    print('debug=%s raised: %s' % (__debug__, exc))\n")
+    cases = [
+        # a cuspidal type whose second exponent is not the q-power twist of
+        # the first (built directly, bypassing make_type) has all-zero digits
+        ("from bktame import CUSPIDAL, LocalContext, TameType, gamma_digits\n"
+         "gamma_digits(TameType(LocalContext(3, 1, 1), CUSPIDAL, 1, 1))\n",
+         "zero digits iff scalar"),
+        # a module built directly, bypassing validate, with r = 1 at p = 3,
+        # f = 1: the alpha numerator 1 is not divisible by p - 1 = 2
+        ("from bktame import PS, LocalContext, RankOneBK, alpha, build_field\n"
+         "alpha(RankOneBK(LocalContext(3, 1, 1), PS, (1,), (build_field(3, 1).one(),), (0,)))\n",
+         "alpha numerator not divisible"),
+    ]
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.startswith("debug=False raised: zero digits iff scalar")
+    for body, message in cases:
+        script = ("from bktame import InternalError\n"
+                  "try:\n" + "".join("    " + line + "\n" for line in body.splitlines())
+                  + "except InternalError as exc:\n"
+                  "    print('debug=%s raised: %s' % (__debug__, exc))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.startswith("debug=False raised: " + message)
