@@ -1,8 +1,8 @@
 """Tour of the arithmetic layer: deterministic small finite fields,
-Frobenius, truncated Laurent series, and exact rank computations."""
+Frobenius, index arithmetic, and exact rank and kernel computations."""
 
-from bktame import TruncSeries, build_field
-from bktame.gfarith import gauss_rank
+from bktame import build_field
+from bktame.gfarith import gauss_rank, nullspace_basis
 
 # Fields are pinned to the lexicographically smallest monic irreducible
 # modulus, so GF(9) is always F_3[x]/(x^2 + 1).
@@ -14,14 +14,11 @@ print("multiplicative generator:", g, "of order", g.multiplicative_order())
 # Frobenius is x -> x^p; on GF(p^2) applying it twice is the identity.
 print("Frobenius applied twice is the identity:", (g ** 3) ** 3 == g)
 
-# Truncated series track exactly which coefficients are known: a product
-# is known only below min(N1 + low2, N2 + low1).
-s = TruncSeries(F9, {-1: 1, 2: g}, trunc_order=5)
-t = TruncSeries(F9, {1: 1}, trunc_order=4)
-print("\nseries s:", s)
-print("series t:", t)
-print("s * t:", s * t)
-print("s + t:", s + t)
+# An element is its base-p index sum(coeffs[j] * 3^j); FieldSpec does the
+# arithmetic on bare indices, which is what row reduction uses.
+x = F9.elem((0, 1))
+print("\nx has index", x.idx, "and x * x has index", F9.mul(x.idx, x.idx),
+      "= -1 =", F9.neg(1))
 
 # Dense row reduction over any of these fields: rank, kernel, cokernel.
 # Rows hold field-element indices; over a prime field that is the residue.
@@ -31,3 +28,19 @@ rows = [[1, 2, 0],
 rank = gauss_rank([list(r) for r in rows], F3)
 print("\nrank/kernel/cokernel of a 2x3 map over GF(3):",
       (rank, 3 - rank, 2 - rank))
+
+# A kernel basis, as index lists; each vector is checked against the rows.
+basis = nullspace_basis(rows, 3, F3)
+print("kernel basis over GF(3):", basis)
+for vec in basis:
+    for row in rows:
+        total = 0
+        for a, b in zip(row, vec):
+            total = F3.add(total, F3.mul(a, b))
+        assert total == 0
+
+# The same over GF(9): the rows (1, g) and (g, g^2) are proportional.
+g2 = (g * g).idx
+rows9 = [[1, g.idx], [g.idx, g2]]
+print("kernel basis of [[1, g], [g, g^2]] over GF(9):",
+      nullspace_basis(rows9, 2, F9))

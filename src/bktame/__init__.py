@@ -7,20 +7,18 @@ brute-force oracles for every closed form.
 from .errors import (BadResidue, BKError, CongruenceFailed,
                      ContextMismatch, CuspidalDegenerate, DegreeTooLarge,
                      InternalError, InvalidShape, KindMismatch, NoNonzeroMap,
-                     NoSolution, NotInPTau, NotPrime, NotSupported, NotTypeTau,
+                     NoSolution, NotInPTau, NotPrime, NotSupported,
                      PeriodError, RangeError, ScalarType, SteinbergWeight,
-                     TruncationExceeded, TruncationUnstable, ZeroCoefficient)
-from .gfarith import FieldElem, FieldSpec, TruncSeries, build_field
+                     TruncationUnstable, ZeroCoefficient)
+from .gfarith import FieldElem, FieldSpec, build_field
 from .rankone import (GaloisChar, RankOneBK, alpha, exhaustive_modules,
-                      galois_char, hom_dim, is_isomorphic, random_module,
+                      galois_char, hom_dim, random_module,
                       same_generic_fibre, twist_conjugate, validate)
 from .rng import SplitMix64
-from .shapes import (ExtClass, RefinedShape, Shape, build_MN,
-                     check_height_and_det, ext_dim, ext_dim_height1,
-                     family_dim, gamma_star, irred_bound, is_admissible,
-                     kext_dim, kext_dim_oracle, maximal_refined, oracle_dims,
-                     p_tau, refined_count, refined_shapes, shape_of_pair,
-                     shapes_for)
+from .shapes import (RefinedShape, Shape, build_MN, ext_dim, family_dim,
+                     gamma_star, irred_bound, is_admissible, kext_dim,
+                     kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
+                     refined_count, refined_shapes, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, TameType,
                         enumerate_types, gamma_digits, make_type)
 from .weights import (Cycle, DieudonnePattern, SerreWeight, all_weights,

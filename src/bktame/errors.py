@@ -13,10 +13,6 @@ class DegreeTooLarge(BKError):
     pass
 
 
-class TruncationExceeded(BKError):
-    """An operation needed series coefficients beyond the known window."""
-
-
 class NotSupported(BKError):
     pass
 
@@ -54,10 +50,6 @@ class KindMismatch(BKError):
 
 
 class InvalidShape(BKError):
-    pass
-
-
-class NotTypeTau(BKError):
     pass
 
 

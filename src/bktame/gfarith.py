@@ -1,5 +1,5 @@
-"""Exact arithmetic over small finite fields GF(p^m), truncated Laurent
-series over them, and dense row reduction.
+"""Exact arithmetic over small finite fields GF(p^m) and dense row
+reduction.
 
 Polynomials over GF(p) are coefficient tuples, constant term first.
 The field modulus is always the lexicographically smallest monic
@@ -13,8 +13,7 @@ for callers that want operators, and row reduction works on index lists.
 
 from functools import lru_cache
 
-from .errors import (DegreeTooLarge, InternalError, NotPrime, RangeError,
-                     TruncationExceeded)
+from .errors import DegreeTooLarge, InternalError, NotPrime, RangeError
 
 _TABLE_LIMIT = 1 << 16
 
@@ -373,118 +372,6 @@ class FieldElem:
 
     def __repr__(self):
         return "%r%r" % (list(self.coeffs), self.owner)
-
-
-class TruncSeries:
-    """Truncated (Laurent) series over a FieldSpec.
-
-    Coefficients of degree >= trunc_order are unknown; trunc_order None
-    means the series is exact (a Laurent polynomial).  Normalised so the
-    lowest stored coefficient is nonzero unless the series is zero.
-    """
-
-    __slots__ = ("owner", "terms", "low_degree", "trunc_order")
-
-    def __init__(self, owner, terms=None, trunc_order=None):
-        self.owner = owner
-        clean = {}
-        for d, c in (terms or {}).items():
-            if isinstance(c, int):
-                c = owner.elem(c)
-            if c:
-                if trunc_order is not None and d >= trunc_order:
-                    continue
-                clean[d] = c
-        self.terms = clean
-        self.trunc_order = trunc_order
-        if clean:
-            self.low_degree = min(clean)
-        else:
-            self.low_degree = trunc_order if trunc_order is not None else 0
-
-    def is_zero(self):
-        """True if all *known* coefficients vanish."""
-        return not self.terms
-
-    def coeff(self, d):
-        if self.trunc_order is not None and d >= self.trunc_order:
-            raise TruncationExceeded("coefficient of u^%d is unknown" % d)
-        return self.terms.get(d, self.owner.zero())
-
-    def _min_trunc(self, other):
-        if self.trunc_order is None:
-            return other.trunc_order
-        if other.trunc_order is None:
-            return self.trunc_order
-        return min(self.trunc_order, other.trunc_order)
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        trunc = self._min_trunc(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms.get(d, self.owner.zero()) + c
-        return TruncSeries(self.owner, terms, trunc)
-
-    def __neg__(self):
-        return TruncSeries(self.owner, {d: -c for d, c in self.terms.items()},
-                           self.trunc_order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (FieldElem, int)):
-            c = other if isinstance(other, FieldElem) else self.owner.elem(other)
-            return TruncSeries(self.owner, {d: cc * c for d, cc in self.terms.items()},
-                               self.trunc_order)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        # known window of the product: min(N1 + low2, N2 + low1)
-        trunc = None
-        if self.trunc_order is not None:
-            trunc = self.trunc_order + other.low_degree
-        if other.trunc_order is not None:
-            t2 = other.trunc_order + self.low_degree
-            trunc = t2 if trunc is None else min(trunc, t2)
-        terms = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                d = d1 + d2
-                if trunc is not None and d >= trunc:
-                    continue
-                prev = terms.get(d)
-                terms[d] = c1 * c2 if prev is None else prev + c1 * c2
-        return TruncSeries(self.owner, terms, trunc)
-
-    __rmul__ = __mul__
-
-    def divisible_by_power(self, k):
-        """Whether u^k divides the series; may raise TruncationExceeded."""
-        if any(d < k for d in self.terms):
-            return False
-        if self.trunc_order is not None and self.trunc_order < k:
-            raise TruncationExceeded("window ends at u^%d, need u^%d"
-                                     % (self.trunc_order, k))
-        return True
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.owner == other.owner
-                and self.terms == other.terms and self.trunc_order == other.trunc_order)
-
-    def __hash__(self):
-        return hash((self.owner, tuple(sorted(self.terms.items(), key=lambda t: t[0])),
-                     self.trunc_order))
-
-    def __repr__(self):
-        if not self.terms:
-            body = "0"
-        else:
-            body = " + ".join("%r*u^%d" % (list(c.coeffs), d)
-                              for d, c in sorted(self.terms.items()))
-        tail = "" if self.trunc_order is None else " + O(u^%d)" % self.trunc_order
-        return "<%s%s>" % (body, tail)
 
 
 def gauss_rank(rows, field):

@@ -1,6 +1,6 @@
 """Rank-one Breuil-Kisin modules with tame descent data over a finite
-coefficient field: validation, isomorphism, alpha invariants, associated
-Galois characters, and the Hom criterion.
+coefficient field: validation, alpha invariants, associated Galois
+characters, and the Hom criterion.
 
 A module M(r, a, c) is stored as the integer vector r (Frobenius
 u-exponents, entries in [0, e']), the coefficient vector a (nonzero field
@@ -179,12 +179,6 @@ def same_generic_fibre(m, n):
     """Whether the two modules have equal associated Galois characters."""
     _same_frame(m, n)
     return m.galois_character == n.galois_character
-
-
-def is_isomorphic(m, n):
-    """r and c must agree on the nose; the a enter through their product."""
-    _same_frame(m, n)
-    return m.r == n.r and m.c == n.c and m.unram_product() == n.unram_product()
 
 
 def hom_dim(m, n):

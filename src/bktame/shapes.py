@@ -1,7 +1,6 @@
 """Shapes and refined shapes of typed pairs of rank-one modules, the
 closed-form Ext/Hom/kExt dimensions, their brute-force truncated-complex
-oracles, height and determinant checks, and the irreducible-locus
-dimension bound.
+oracles, and the irreducible-locus dimension bound.
 
 A shape is the subset J of Z/f'Z where the first module's descent
 character matches the first type character; a refined shape adds the
@@ -15,10 +14,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (ContextMismatch, InvalidShape, NoNonzeroMap, NotTypeTau,
-                     TruncationUnstable, check)
+from .errors import InvalidShape, NoNonzeroMap, TruncationUnstable, check
 from .gfarith import gauss_rank, nullspace_basis
-from .rankone import (RankOneBK, _same_frame, hom_dim, same_generic_fibre,
+from .rankone import (_same_frame, hom_dim, same_generic_fibre,
                       twist_conjugate, validate)
 from .tametypes import CUSPIDAL, TameType, gamma_digits
 
@@ -184,44 +182,10 @@ def build_MN(tau, refined):
     ones = (1,) * fp
     m = validate(tau.ctx, tau.kind, tuple(r), ones, c)
     n = validate(tau.ctx, tau.kind, s, ones, d)
-    check(_pair_has_type(m, n, tau), "standard pair is not of the type")
-    return m, n
-
-
-def _pair_has_type(m, n, tau):
     kv, kpv = tau.kvec, tau.kpvec
-    for i in range(tau.fprime):
-        if {m.c[i], n.c[i]} != {kv[i], kpv[i]}:
-            return False
-        if m.r[i] + n.r[i] != tau.eprime:
-            return False
-    return True
-
-
-def shape_of_pair(m, n, tau):
-    """Inverse of build_MN on typed pairs (coefficients are ignored)."""
-    if m.ctx != tau.ctx or m.kind != tau.kind:
-        raise ContextMismatch("pair and type live over different frames")
-    _same_frame(m, n)
-    if not _pair_has_type(m, n, tau):
-        raise NotTypeTau("pair is not of the requested type")
-    if tau.is_scalar:
-        J = frozenset()
-    else:
-        J = frozenset(i for i in range(tau.fprime) if m.c[i] == tau.kvec[i])
-    shape = Shape(tau, J)
-    trans = shape.transitions
-    ekk = tau.ekk
-    y = []
-    for i in range(tau.ctx.f):
-        if i in _reduced_mod_f(trans, tau):
-            num = m.r[i] + (m.c[i] - n.c[i]) % ekk
-        else:
-            num = m.r[i]
-        if num % ekk != 0:
-            raise NotTypeTau("Frobenius exponents incompatible with the shape")
-        y.append(num // ekk)
-    return RefinedShape(shape, tuple(y))
+    check(all({m.c[i], n.c[i]} == {kv[i], kpv[i]} and m.r[i] + n.r[i] == ep
+              for i in range(fp)), "standard pair is not of the type")
+    return m, n
 
 
 def gamma_star(tau, J):
@@ -229,25 +193,15 @@ def gamma_star(tau, J):
     return _to_shape(tau, J).gamma_star
 
 
-def _count_congruent(lo, hi, residue, mod):
-    """#{ j in [lo, hi) : j = residue mod `mod` }."""
-    if hi <= lo:
-        return 0
-    first = lo + (residue - lo) % mod
-    if first >= hi:
-        return 0
-    return (hi - 1 - first) // mod + 1
-
-
-def _ext_beyond_hom(m, n, height1=False):
-    """dim Ext^1(M, N) - dim Hom(M, N): per index, the count of admissible
-    degrees below r_i (and at least r_i + s_i - e' for height one)."""
+def _ext_beyond_hom(m, n):
+    """dim Ext^1(M, N) - dim Hom(M, N): per index, the count of degrees in
+    [0, r_i) congruent to r_i + c_i - d_i mod p^{f'} - 1."""
     _same_frame(m, n)
     ekk = m.ekk
     total = 0
     for i in range(m.ctx.f):
-        lo = max(0, m.r[i] + n.r[i] - m.eprime) if height1 else 0
-        total += _count_congruent(lo, m.r[i], (m.r[i] + m.c[i] - n.c[i]) % ekk, ekk)
+        residue = (m.r[i] + m.c[i] - n.c[i]) % ekk
+        total += max(0, (m.r[i] - residue + ekk - 1) // ekk)
     return total
 
 
@@ -255,11 +209,6 @@ def ext_dim(m, n):
     """Closed-form dim Ext^1(M, N): Hom contribution plus, per index, the
     count of admissible degrees below r_i."""
     return hom_dim(m, n) + _ext_beyond_hom(m, n)
-
-
-def ext_dim_height1(m, n):
-    """Same count restricted to extensions of height at most one."""
-    return hom_dim(m, n) + _ext_beyond_hom(m, n, height1=True)
 
 
 def _default_trunc(ctx):
@@ -400,48 +349,6 @@ def kext_dim_oracle(m, n):
     hom_quot = len(basis)
     hom_galois = 1 if same_generic_fibre(m, n) else 0
     return hom_quot - (hom_galois - hom_dim(m, n))
-
-
-@dataclass(frozen=True)
-class ExtClass:
-    """An extension class for a pair (M, N), presented by the tuple h of
-    series steering the extra Frobenius component into N."""
-
-    m: RankOneBK
-    n: RankOneBK
-    h: tuple
-
-    def __post_init__(self):
-        _same_frame(self.m, self.n)
-        fp, ekk, f = self.m.fprime, self.m.ekk, self.m.ctx.f
-        if len(self.h) != fp:
-            raise InvalidShape("h must have length f'")
-        for i in range(fp):
-            if self.h[i].terms != self.h[(i + f) % fp].terms:
-                raise InvalidShape("h must be periodic with period dividing f")
-            cls = (self.m.r[i] + self.m.c[i] - self.n.c[i]) % ekk
-            if any(d % ekk != cls for d in self.h[i].terms):
-                raise InvalidShape("h[%d] has a term outside its congruence class" % i)
-
-
-def check_height_and_det(ec):
-    """Height-one and determinant diagnostics for an extension class.
-
-    Height one needs u^{max(0, r_i + s_i - e')} to divide h_i; the
-    determinant condition is r_i + s_i = e' on the nose, and the reported
-    valuations are the r_i + s_i themselves.
-    """
-    m, n = ec.m, ec.n
-    ep = m.eprime
-    height_ok = True
-    for i in range(m.fprime):
-        need = max(0, m.r[i] + n.r[i] - ep)
-        if need and not ec.h[i].divisible_by_power(need):
-            height_ok = False
-            break
-    det_vals = tuple(m.r[i] + n.r[i] for i in range(m.fprime))
-    det_ok = all(v == ep for v in det_vals)
-    return {"heightOk": height_ok, "detOk": det_ok, "detValuation": det_vals}
 
 
 def family_dim(tau, refined):

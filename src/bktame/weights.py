@@ -11,7 +11,7 @@ when sum t_j p^j agrees mod p^f - 1.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidShape, NotInPTau, ScalarType, SteinbergWeight
+from .errors import InvalidShape, NotInPTau, ScalarType, SteinbergWeight, check
 from .gfarith import _digits
 from .intlinalg import IntegerColumnSolver
 from .rng import SplitMix64
@@ -102,12 +102,12 @@ def weight_formula_data(tau, J):
     if tau.kind == CUSPIDAL:
         f, ekk, q = tau.ctx.f, tau.ekk, tau.ctx.q
         for i in range(f):
-            assert sJ[i] == sJ[i + f], "cuspidal s-vector must be f-periodic"
+            check(sJ[i] == sJ[i + f], "cuspidal s-vector must be f-periodic")
         exp = tau.k0p
         for i in range(fp):
             exp += tJ[i] * pow(p, fp - i, ekk)
         exp %= ekk
-        assert exp % (q + 1) == 0, "det character must factor through the norm"
+        check(exp % (q + 1) == 0, "det character must factor through the norm")
         theta = (exp // (q + 1)) % (q - 1)
     return WeightFormulaData(tuple(sJ), tuple(tJ), theta)
 
@@ -121,7 +121,7 @@ def sigma_tau_J(tau, J):
     data = weight_formula_data(tau, shape)
     f, p = tau.ctx.f, tau.p_
     s = data.sJ[:f]
-    assert all(0 <= x <= p - 1 for x in s)
+    check(all(0 <= x <= p - 1 for x in s), "weight digits must lie in [0, p-1]")
     if tau.kind == PS:
         t_raw = tuple(data.tJ[i] + d for i, d in enumerate(_digits(tau.k0p, p, f)))
         return canonical_weight(p, f, t_raw, s)
@@ -130,12 +130,12 @@ def sigma_tau_J(tau, J):
 
 @lru_cache(maxsize=None)
 def jh_factors(tau):
-    """Weights of the admissible shapes; asserted pairwise distinct."""
+    """Weights of the admissible shapes; checked pairwise distinct."""
     out = {}
     for shape in p_tau(tau):
         out[shape] = sigma_tau_J(tau, shape)
     weights = list(out.values())
-    assert len(set(weights)) == len(weights), "weights of one type must be distinct"
+    check(len(set(weights)) == len(weights), "weights of one type must be distinct")
     return frozenset(weights)
 
 
@@ -158,7 +158,7 @@ def char_TN(tau, J):
             exp -= t_i * pow(p, fp - i, ekk)
     exp %= ekk
     if tau.kind == CUSPIDAL:
-        assert exp * tau.ctx.q % ekk == exp, "descent exponent must have niveau one"
+        check(exp * tau.ctx.q % ekk == exp, "descent exponent must have niveau one")
     return exp
 
 
@@ -168,7 +168,7 @@ class DieudonnePattern:
 
     def __post_init__(self):
         for _tag, fval, vval in self.entries:
-            assert (fval == ZERO) != (vval == ZERO)
+            check((fval == ZERO) != (vval == ZERO), "exactly one of F and V must vanish")
 
 
 def dieudonne_pattern(tau, J):

@@ -217,7 +217,7 @@ def test_criterion_9_digit_and_weight_well_formedness():
                     assert all(gamma[i] + gamma[(i + f) % fp] == p - 1
                                for i in range(fp))
                     for shape in p_tau(tau):
-                        # periodicity of s and norm divisibility are asserted
+                        # periodicity of s and norm divisibility are checked
                         # inside; the niveau-one condition inside char_TN
                         data = weight_formula_data(tau, shape)
                         assert data.theta_exp is not None

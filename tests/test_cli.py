@@ -1,6 +1,9 @@
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +74,19 @@ def test_report_bytes_are_pinned(argv):
     text, code = run(argv.split())
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", ["weights -p 3 -f 2", "bm -p 3 -f 2"],
+                         ids=lambda argv: argv.replace(" ", "_"))
+def test_pinned_reports_survive_python_O(argv):
+    # with assert statements compiled out, every invariant check must still
+    # run and the whole report must keep its pinned bytes
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run([sys.executable, "-O", "-m", "bktame"] + argv.split(),
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256[argv]
 
 
 def test_ptau_report():

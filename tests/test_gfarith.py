@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bktame import (CUSPIDAL, PS, FieldSpec, LocalContext, NotPrime, DegreeTooLarge,
-                    RangeError, TruncationExceeded, TruncSeries, build_field,
+                    RangeError, build_field,
                     ext_dim, hom_dim, oracle_dims, random_module)
 from bktame.gfarith import _pdivmod, gauss_rank, nullspace_basis
 from bktame.rng import SplitMix64
@@ -152,26 +152,6 @@ def test_frobenius_is_ring_hom_of_exact_order_m(p, m):
         x = x ** p
         seen_identity_early = seen_identity_early or x == g
     assert x ** p == g and not seen_identity_early
-
-
-# -- truncated series --
-
-
-def test_series_truncation_is_tracked_not_silent():
-    F = build_field(3, 1)
-    s = TruncSeries(F, {0: 1}, trunc_order=3)
-    t = TruncSeries(F, {1: 1}, trunc_order=5)
-    total = s + t
-    assert total.trunc_order == 3
-    assert total.coeff(2) == F.zero()
-    with pytest.raises(TruncationExceeded):
-        total.coeff(3)
-    prod = s * t  # known below min(3+1, 5+0) = 4
-    assert prod.trunc_order == 4
-    assert not TruncSeries(F, {0: 1}, trunc_order=1).divisible_by_power(2)
-    with pytest.raises(TruncationExceeded):
-        # all known coefficients vanish but the window is too short to decide
-        TruncSeries(F, {}, trunc_order=1).divisible_by_power(2)
 
 
 # -- linear algebra --

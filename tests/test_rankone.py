@@ -2,10 +2,9 @@ import pytest
 
 from bktame import (CUSPIDAL, PS, CongruenceFailed, ContextMismatch,
                     KindMismatch, LocalContext, PeriodError, RangeError,
-                    ZeroCoefficient, alpha, build_field, exhaustive_modules,
-                    galois_char, hom_dim, is_isomorphic, oracle_dims,
-                    random_module, same_generic_fibre, twist_conjugate,
-                    validate)
+                    ZeroCoefficient, alpha, build_field, galois_char, hom_dim,
+                    oracle_dims, random_module, same_generic_fibre,
+                    twist_conjugate, validate)
 from bktame.rng import SplitMix64
 
 CTX = LocalContext(3, 1, 1)
@@ -58,28 +57,6 @@ def test_same_generic_fibre_examples():
     assert not same_generic_fibre(m, n2)
     with pytest.raises(ContextMismatch):
         same_generic_fibre(m, validate(CTX, CUSPIDAL, (2, 2), (1, 1), (1, 1)))
-
-
-def test_is_isomorphic_examples():
-    ctx = LocalContext(3, 2, 1)
-    F = build_field(3, 2)
-    g = F.multiplicative_generator()
-    m = validate(ctx, PS, (0, 0), (g, 1), (0, 0))
-    n = validate(ctx, PS, (0, 0), (1, g), (0, 0))
-    assert is_isomorphic(m, n)  # products agree
-    m2 = validate(CTX, PS, (2,), (1,), (1,))
-    n2 = validate(CTX, PS, (0,), (1,), (0,))
-    assert not is_isomorphic(m2, n2)
-    assert is_isomorphic(m2, m2)
-
-
-def test_isomorphic_implies_same_fibre_exhaustively():
-    for kind in (PS, CUSPIDAL):
-        mods = exhaustive_modules(CTX, kind)
-        for m in mods:
-            for n in mods:
-                if is_isomorphic(m, n):
-                    assert same_generic_fibre(m, n)
 
 
 def test_hom_dim_examples():

@@ -1,13 +1,12 @@
 import pytest
 
-from bktame import (CUSPIDAL, PS, ExtClass, InvalidShape, LocalContext,
-                    NoNonzeroMap, NotTypeTau, Shape, TruncSeries, build_MN,
-                    build_field, check_height_and_det, enumerate_types,
-                    ext_dim, ext_dim_height1, exhaustive_modules, family_dim,
+from bktame import (CUSPIDAL, PS, InvalidShape, LocalContext, NoNonzeroMap,
+                    Shape, build_MN, build_field, enumerate_types, ext_dim,
+                    exhaustive_modules, family_dim,
                     gamma_digits, gamma_star, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
                     is_admissible, make_type, maximal_refined, oracle_dims,
                     p_tau, random_module, refined_count, refined_shapes,
-                    shape_of_pair, shapes_for, validate)
+                    shapes_for, validate)
 from bktame.rng import SplitMix64
 
 CTX = LocalContext(3, 1, 1)
@@ -99,20 +98,34 @@ def test_build_MN_scalar():
     assert m.r == (2,) and m.c == (1,) and n.r == (0,)
 
 
-def test_shape_of_pair_round_trip():
-    for tau in (TAU_PS, TAU_C):
+def _refined_shape_of_pair(m, n, tau):
+    """Test-local inverse of build_MN: J is where the first module carries
+    the first type character; y_i is r_i, plus the offset subtracted at a
+    transition, divided by p^{f'} - 1."""
+    fp, ekk = tau.fprime, tau.ekk
+    for i in range(fp):
+        assert {m.c[i], n.c[i]} == {tau.kvec[i], tau.kpvec[i]}
+        assert m.r[i] + n.r[i] == tau.eprime
+    if tau.is_scalar:
+        J = frozenset()
+    else:
+        J = frozenset(i for i in range(fp) if m.c[i] == tau.kvec[i])
+    y = []
+    for i in range(tau.ctx.f):
+        transition = ((i - 1) % fp in J) != (i in J)
+        num = m.r[i] + ((m.c[i] - n.c[i]) % ekk if transition else 0)
+        assert num % ekk == 0
+        y.append(num // ekk)
+    return J, tuple(y)
+
+
+def test_build_MN_encodes_every_refined_shape():
+    taus = [TAU_PS, TAU_C] + enumerate_types(LocalContext(3, 2, 2))
+    for tau in taus:
         for shape in shapes_for(tau):
             for rs in refined_shapes(tau, shape):
                 m, n = build_MN(tau, rs)
-                back = shape_of_pair(m, n, tau)
-                assert back.shape.J == shape.J and back.y == rs.y
-
-
-def test_shape_of_pair_rejects_wrong_type():
-    m = validate(CTX, PS, (2,), (1,), (1,))
-    bad = validate(CTX, PS, (2,), (1,), (1,))  # r + s = 4 != e'
-    with pytest.raises(NotTypeTau):
-        shape_of_pair(m, bad, TAU_PS)
+                assert _refined_shape_of_pair(m, n, tau) == (shape.J, rs.y)
 
 
 def test_gamma_star_examples():
@@ -142,23 +155,6 @@ def test_ext_oracle_reproduces_examples():
     assert oracle_dims(m, m)[1] == 1
     m2, n2 = build_MN(TAU_C, maximal_refined(TAU_C, {1}))
     assert oracle_dims(m2, n2)[0] == ext_dim(m2, n2) == 2
-
-
-def test_ext_height1_bounded_by_ext():
-    rng = SplitMix64(5)
-    ctx = LocalContext(3, 1, 2)
-    for kind in (PS, CUSPIDAL):
-        for _ in range(40):
-            m = random_module(ctx, kind, rng)
-            n = random_module(ctx, kind, rng)
-            assert ext_dim_height1(m, n) <= ext_dim(m, n)
-
-
-def test_ext_height1_equals_ext_for_typed_pairs():
-    for tau in (TAU_PS, TAU_C):
-        for shape in shapes_for(tau):
-            m, n = build_MN(tau, maximal_refined(tau, shape))
-            assert ext_dim_height1(m, n) == ext_dim(m, n)
 
 
 def test_kext_examples():
@@ -197,31 +193,6 @@ def test_kext_vanishing_with_generic_products_matches_admissible_set():
             for shape in shapes_for(tau):
                 vanishes = kext_dim(tau, shape, F.one(), g) == 0
                 assert vanishes == (shape.key() in admissible)
-
-
-def test_extclass_and_height_det_checks():
-    F3 = build_field(3, 1)
-    m, n = build_MN(TAU_PS, maximal_refined(TAU_PS, {0}))
-    h = (TruncSeries(F3, {1: 1}),)  # degrees = r + c - d = 1 mod 2
-    ec = ExtClass(m, n, h)
-    res = check_height_and_det(ec)
-    assert res["heightOk"] and res["detOk"] and res["detValuation"] == (2,)
-
-    untyped_m = validate(CTX, PS, (2,), (1,), (1,))
-    untyped_n = validate(CTX, PS, (2,), (1,), (1,))  # r + s = 4 > e' = 2
-    bad = ExtClass(untyped_m, untyped_n, (TruncSeries(F3, {0: 1}),))
-    res2 = check_height_and_det(bad)
-    assert not res2["heightOk"] and not res2["detOk"]
-    ok_h = ExtClass(untyped_m, untyped_n, (TruncSeries(F3, {2: 1}),))
-    res3 = check_height_and_det(ok_h)
-    assert res3["heightOk"] and not res3["detOk"]
-
-
-def test_extclass_rejects_wrong_congruence_class():
-    F3 = build_field(3, 1)
-    m, n = build_MN(TAU_PS, maximal_refined(TAU_PS, {0}))
-    with pytest.raises(InvalidShape):
-        ExtClass(m, n, (TruncSeries(F3, {0: 1}),))  # 0 != 1 mod 2
 
 
 def test_differential_preserves_congruence_classes():

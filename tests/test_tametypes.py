@@ -133,6 +133,15 @@ def test_gamma_digits_checks_survive_python_O():
         ("from bktame import PS, LocalContext, RankOneBK, alpha, build_field\n"
          "alpha(RankOneBK(LocalContext(3, 1, 1), PS, (1,), (build_field(3, 1).one(),), (0,)))\n",
          "alpha numerator not divisible"),
+        # a cuspidal type with exponents (0, 2), built directly: its digits
+        # pass gamma_digits, but the shape {0} gives a det exponent that is
+        # not a norm and a descent exponent that is not of niveau one
+        ("from bktame import CUSPIDAL, LocalContext, TameType, weight_formula_data\n"
+         "weight_formula_data(TameType(LocalContext(3, 1, 1), CUSPIDAL, 0, 2), {0})\n",
+         "det character must factor through the norm"),
+        ("from bktame import CUSPIDAL, LocalContext, TameType, char_TN\n"
+         "char_TN(TameType(LocalContext(3, 1, 1), CUSPIDAL, 0, 2), {0})\n",
+         "descent exponent must have niveau one"),
     ]
     env = dict(os.environ, PYTHONPATH=SRC)
     for body, message in cases:
