@@ -15,8 +15,8 @@ import sys
 import time
 
 from . import errors
-from .rankone import (exhaustive_modules, galois_char, hom_dim,
-                      random_module, validate)
+from .rankone import (RankOneBK, exhaustive_modules, galois_char, hom_dim,
+                      random_module)
 from .rng import SplitMix64
 from .shapes import (_ext_beyond_hom, build_MN, family_dim, is_admissible,
                      kext_dim, kext_dim_oracle, maximal_refined, oracle_dims,
@@ -28,6 +28,10 @@ from .weights import (Cycle, all_weights, c_sigma_cycle, char_TN,
                       sigma_tau_J, solve_n_tau, z_tau_cycle)
 
 OUTPUT_DIR_ENV = "BKTAME_OUTPUT_DIR"
+
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_LEAVES = {str: _json_str, int: int.__repr__, type(None): lambda _: "null",
+                bool: {True: "true", False: "false"}.__getitem__}
 
 
 def _parse_type_selector(ctx, text):
@@ -93,20 +97,36 @@ def cmd_types(ctx, args):
     return items
 
 
+def _shape_columns(tau):
+    """Each shape of tau with its key suffix, sorted J, refined-shape count,
+    maximal y and family dimension.  These read only the kind, f', f, e and
+    J, so every type of tau's kind and scalarity has the same columns."""
+    columns = []
+    for shape in shapes_for(tau):
+        rs = maximal_refined(tau, shape)
+        columns.append((shape, "|J=" + _shape_str(shape.J), sorted(shape.J),
+                        refined_count(tau, shape), list(rs.y), family_dim(tau, rs)))
+    return columns
+
+
 def cmd_ptau(ctx, args):
+    columns = {}   # (kind, scalar) -> _shape_columns of the group's first type
     items = []
     for tau in _selected_types(ctx, args):
+        group = (tau.kind, tau.is_scalar)
+        if group not in columns:
+            columns[group] = _shape_columns(tau)
         label, gamma = tau.label(), gamma_digits(tau)
-        for shape in shapes_for(tau):
-            rs = maximal_refined(tau, shape)
+        # admissibility reads only p, J and the shape's transitions besides gamma
+        for shape, suffix, J, count, y, dim in columns[group]:
             items.append({
-                "key": "%s|J=%s" % (label, _shape_str(shape.J)),
+                "key": label + suffix,
                 "type": label,
-                "J": sorted(shape.J),
+                "J": J,
                 "in_ptau": is_admissible(shape, gamma),
-                "refined_count": refined_count(tau, shape),
-                "maximal_y": list(rs.y),
-                "family_dim": family_dim(tau, rs),
+                "refined_count": count,
+                "maximal_y": y,
+                "family_dim": dim,
                 "ok": True,
             })
     return items
@@ -183,9 +203,11 @@ def cmd_oracle(ctx, args):
             continue
         field = ctx.coefficient_field(tau.kind)
         gen = field.multiplicative_generator()
+        errors.check(gen and gen.owner == field, "twist coefficient is not a unit")
         for shape in shapes_for(tau):
             m, n = build_MN(tau, maximal_refined(tau, shape))
-            n_twist = validate(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
+            # n with every coefficient gen: its r and c are already validated
+            n_twist = RankOneBK(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
             for tag, prod_b, nn in (("eq", field.one(), n), ("ne", gen, n_twist)):
                 kv = kext_dim(tau, shape, field.one(), prod_b)
                 ko = kext_dim_oracle(m, nn)
@@ -307,9 +329,40 @@ def _render_text(report):
     return "\n".join(lines) + "\n"
 
 
+def _json(obj, pad):
+    """json.dumps(obj, sort_keys=True, indent=2) of obj at indentation pad,
+    with each container rendered as one join of its children.
+
+    Renders str keys and str, int, bool, None, list, tuple and dict values;
+    anything else raises TypeError.
+    """
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for key in sorted(obj):
+            val = obj[key]
+            leaf = _JSON_LEAVES.get(type(val))
+            parts.append(_json_str(key) + ": " + (leaf(val) if leaf else _json(val, inner)))
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(parts), pad)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            parts = map(int.__repr__, obj)
+        else:
+            parts = [_json(x, inner) for x in obj]
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(parts), pad)
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _json(report, "") + "\n"
     if fmt == "csv":
         return _render_csv(report)
     return _render_text(report)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -76,7 +77,7 @@ def test_report_bytes_are_pinned(argv):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[argv]
 
 
-@pytest.mark.parametrize("argv", ["weights -p 3 -f 2", "bm -p 3 -f 2"],
+@pytest.mark.parametrize("argv", ["weights -p 3 -f 2", "bm -p 3 -f 2", "ptau -p 3 -f 2"],
                          ids=lambda argv: argv.replace(" ", "_"))
 def test_pinned_reports_survive_python_O(argv):
     # with assert statements compiled out, every invariant check must still
@@ -87,6 +88,43 @@ def test_pinned_reports_survive_python_O(argv):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256[argv]
+
+
+def _random_json(rng, depth):
+    """A seeded nested value of the kinds reports hold, with awkward strings."""
+    texts = ["", "plain", 'quote " in', "back\\slash", "tab\tnl\ncr\r", "\x00\x1f\x7f",
+             "caf\u00e9", "\u2203 J \u2286 Z/f'Z", "\U0001d53d_p", "</script>"]
+    leaves = [lambda: rng.choice(texts), lambda: rng.randint(-10 ** 6, 10 ** 6),
+              lambda: rng.choice([-(2 ** 70), 2 ** 64, 2 ** 64 + 1, 3 ** 90]),
+              lambda: rng.choice([True, False, None])]
+    kind = rng.randrange(7 if depth else 4)
+    if kind < 4:
+        return leaves[kind]()
+    size = rng.randrange(5)
+    if kind == 4:
+        return {rng.choice(texts) + str(i): _random_json(rng, depth - 1) for i in range(size)}
+    items = [_random_json(rng, depth - 1) for _ in range(size)]
+    if kind == 5:
+        return tuple(items)
+    return items if rng.random() < 0.5 else [rng.randint(-99, 99) for _ in range(size)]
+
+
+def test_json_render_matches_json_dumps():
+    reference = lambda obj: json.dumps(obj, sort_keys=True, indent=2)
+    rng = random.Random(2019)
+    cases = [_random_json(rng, 4) for _ in range(300)]
+    cases += [{}, [], (), {"a": {}, "b": [], "c": ()}, (1, (2, [3, ()])),
+              [True, 1, 0, False], [1, True], [-1, 0, -(2 ** 64), 2 ** 64, 10 ** 40, None],
+              ['"', "\\", "\b\f\n\r\t\x01", "\u00ff\u0100\ud7ff\ue000\U0010ffff"],
+              {'"q"': 1, "back\\": 2, "\n": 3, "\u00e9": 4, "\x7f": 5, "": 6, "B": 7, "a": 8}]
+    for obj in cases:
+        assert cli._json(obj, "") == reference(obj)
+    report, _ = run_json(["types", "-p", "3", "-f", "1"])
+    assert cli.render(report, "json") == reference(report) + "\n"
+    field_elem = LocalContext(3, 1, 1).coefficient_field("ps").one()
+    for bad in (1.5, [0.0], {"x": {1, 2}}, {1, 2}, field_elem, {"m": [field_elem]}, {1: 2}):
+        with pytest.raises(TypeError):
+            cli._json(bad, "")
 
 
 def test_ptau_report():
@@ -102,6 +140,8 @@ def test_ptau_report():
 
 
 def test_ptau_does_each_shape_and_type_once(monkeypatch):
+    # the shape columns are built once per (kind, scalar) group of types;
+    # each type pays only for its label, its digits and admissibility
     built, listed, digits = [], [], []
 
     def counting(log, fn):
@@ -117,12 +157,22 @@ def test_ptau_does_each_shape_and_type_once(monkeypatch):
     for module in (shapes, cli):
         monkeypatch.setattr(module, "shapes_for", shapes_for)
         monkeypatch.setattr(module, "gamma_digits", gamma_digits)
-    report, code = run_json(["ptau", "-p", "3", "-f", "2"])
-    assert code == 0
-    types = sorted({it["type"] for it in report["items"]})
-    assert len(built) == len(report["items"])       # the maximal refined shape only
-    assert sorted(tau.label() for (tau,) in listed) == types
-    assert sorted(tau.label() for (tau,) in digits) == types
+    group = lambda tau: (tau.kind, tau.is_scalar)
+    for argv in ("ptau -p 3 -f 2", "ptau -p 3 -f 2 -e 2 --ordered"):
+        del built[:], listed[:], digits[:]
+        report, code = run_json(argv.split())
+        assert code == 0
+        rows = report["items"]
+        types = sorted({it["type"] for it in rows})
+        groups = {it["type"].split(":")[0] for it in rows}   # ps, cusp, scalar
+        assert len(groups) == 3
+        distinct = {(it["type"].split(":")[0], tuple(it["J"])) for it in rows}
+        assert len(distinct) < len(rows)
+        # one maximal refined shape per distinct (kind, scalar, J)
+        built_keys = [group(rs.shape.tau) + (rs.shape.key(),) for (rs,) in built]
+        assert len(built_keys) == len(set(built_keys)) == len(distinct)
+        assert len(listed) == len({group(tau) for (tau,) in listed}) == len(groups)
+        assert sorted(tau.label() for (tau,) in digits) == types
 
 
 def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):
