@@ -9,7 +9,7 @@ all of length f' and periodic with period dividing f.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (CongruenceFailed, ContextMismatch, KindMismatch,
                      NotSupported, PeriodError, RangeError, ZeroCoefficient,
@@ -48,10 +48,11 @@ class RankOneBK:
         Periodicity makes the f'-fold product the square of the f-fold one
         in cuspidal contexts; character comparisons use the f-fold product.
         """
-        prod = self.field.one()
+        field = self.field
+        prod = 1
         for i in range(self.ctx.f):
-            prod = prod * self.a[i]
-        return prod
+            prod = field.mul(prod, self.a[i].idx)
+        return FieldElem(field, prod)
 
     @cached_property
     def alpha_vector(self):
@@ -148,17 +149,22 @@ def alpha(mod):
     """The unique integer solution of p*alpha_{i-1} - alpha_i = r_i.
 
     alpha_i = (p^{f'-1} r_{i-f'+1} + ... + r_i) / (p^{f'} - 1); the
-    congruence checked at validation makes the division exact.
+    congruence checked at validation makes the division exact.  It reads
+    only p, f' and r, so equal inputs share one computation (_alpha).
     """
-    p, fp, ekk = mod.ctx.p, mod.fprime, mod.ekk
+    return _alpha(mod.ctx.p, mod.fprime, mod.ekk, mod.r)
+
+
+@lru_cache(maxsize=4096)
+def _alpha(p, fp, ekk, r):
     out = []
     for i in range(fp):
         num = 0
         for t in range(fp):
-            num += p ** (fp - 1 - t) * mod.r[(i - fp + 1 + t) % fp]
+            num += p ** (fp - 1 - t) * r[(i - fp + 1 + t) % fp]
         check(num % ekk == 0, "alpha numerator not divisible")
         out.append(num // ekk)
-    check(all(p * out[i - 1] - out[i] == mod.r[i] for i in range(fp)),
+    check(all(p * out[i - 1] - out[i] == r[i] for i in range(fp)),
           "alpha breaks p*alpha[i-1] - alpha[i] = r[i]")
     return tuple(out)
 

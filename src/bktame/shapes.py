@@ -12,7 +12,7 @@ the answers agree.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import InvalidShape, NoNonzeroMap, TruncationUnstable, check
 from .gfarith import gauss_rank, nullspace_basis
@@ -62,11 +62,32 @@ class Shape:
         J = self.J
         gs = tuple(p - 1 - gamma[i] if (i - 1) % fp in J else gamma[i]
                    for i in range(fp))
-        c, d = _cd_vectors(tau, J)
+        c, d = self.cd
         for i in self.transitions:
             lhs = p * ((d[i - 1] - c[i - 1]) % ekk) - (c[i] - d[i]) % ekk
             check(lhs == gs[i] * ekk, "twisted digit identity failed")
         return gs
+
+    @cached_property
+    def cd(self):
+        """Descent exponents (c, d) of the shape's standard pair: c_i is k_i
+        for i in J and k'_i elsewhere, d_i the other one (computed once)."""
+        kv, kpv = self.tau.kvec, self.tau.kpvec
+        c = tuple(kv[i] if i in self.J else kpv[i] for i in range(self.tau.fprime))
+        d = tuple(kpv[i] if i in self.J else kv[i] for i in range(self.tau.fprime))
+        return c, d
+
+    @cached_property
+    def kext_count(self):
+        """Transitions (i-1, i), i = 0..f-1, with vanishing twisted digit:
+        the closed-form kExt dimension away from the exceptional branch
+        (computed once)."""
+        tau = self.tau
+        if tau.is_scalar:
+            return 0
+        gs = self.gamma_star
+        low = _reduced_mod_f(self.transitions, tau)
+        return sum(1 for i in range(tau.ctx.f) if i in low and gs[i] == 0)
 
     @cached_property
     def y_ranges(self):
@@ -155,21 +176,13 @@ def maximal_refined(tau, J):
     return RefinedShape(shape, (tau.ctx.e,) * tau.ctx.f)
 
 
-def _cd_vectors(tau, J):
-    kv, kpv = tau.kvec, tau.kpvec
-    c = tuple(kv[i] if i in J else kpv[i] for i in range(tau.fprime))
-    d = tuple(kpv[i] if i in J else kv[i] for i in range(tau.fprime))
-    return c, d
-
-
 def build_MN(tau, refined):
     """The standard pair of the refined shape: descent exponents split by
     J, Frobenius exponents from y, all coefficients one, determinant
     exponents complementary (r_i + s_i = e')."""
     shape = refined.shape
-    J = shape.J
     fp, ekk, ep = tau.fprime, tau.ekk, tau.eprime
-    c, d = _cd_vectors(tau, J)
+    c, d = shape.cd
     trans = shape.transitions
     r = []
     for i in range(fp):
@@ -182,8 +195,7 @@ def build_MN(tau, refined):
     ones = (1,) * fp
     m = validate(tau.ctx, tau.kind, tuple(r), ones, c)
     n = validate(tau.ctx, tau.kind, s, ones, d)
-    kv, kpv = tau.kvec, tau.kpvec
-    check(all({m.c[i], n.c[i]} == {kv[i], kpv[i]} and m.r[i] + n.r[i] == ep
+    check(all({m.c[i], n.c[i]} == {c[i], d[i]} and m.r[i] + n.r[i] == ep
               for i in range(fp)), "standard pair is not of the type")
     return m, n
 
@@ -288,24 +300,39 @@ def kext_dim(tau, J, prod_a, prod_b):
     maximal pair of the shape, with prescribed unramified products.
 
     Counts transitions (i-1, i) with vanishing twisted digit among
-    i = 0..f-1; when e = 1, the products agree, and the count is f, the
-    dimension drops to f - 1.
+    i = 0..f-1 (Shape.kext_count); when e = 1, the products agree, and the
+    count is f, the dimension drops to f - 1.
     """
-    shape = _to_shape(tau, J)
+    count = _to_shape(tau, J).kext_count
     field = tau.ctx.coefficient_field(tau.kind)
     if isinstance(prod_a, int):
         prod_a = field.elem(prod_a)
     if isinstance(prod_b, int):
         prod_b = field.elem(prod_b)
-    if tau.is_scalar:
-        count = 0
-    else:
-        gs = shape.gamma_star
-        low = _reduced_mod_f(shape.transitions, tau)
-        count = sum(1 for i in range(tau.ctx.f) if i in low and gs[i] == 0)
     if tau.ctx.e == 1 and prod_a == prod_b and count == tau.ctx.f:
         return tau.ctx.f - 1
     return count
+
+
+class _KextSystem:
+    """A pair, equal to and hashed like every pair whose kExt computation
+    reads the same data: the frame, r and a over one period, and the
+    residues n.c - m.c mod p^{f'} - 1."""
+
+    __slots__ = ("m", "n", "key")
+
+    def __init__(self, m, n):
+        f, ekk = m.ctx.f, m.ekk
+        self.m, self.n = m, n
+        self.key = (m.ctx, m.kind, m.r[:f], n.r[:f],
+                    tuple((n.c[i] - m.c[i]) % ekk for i in range(f)),
+                    tuple(x.idx for x in m.a[:f]), tuple(x.idx for x in n.a[:f]))
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
 
 def kext_dim_oracle(m, n):
@@ -314,9 +341,16 @@ def kext_dim_oracle(m, n):
     Solves for tuples of principal parts (degrees >= -e' in the admissible
     congruence class) on which the two sides of the Frobenius commutation
     agree modulo integral series, then corrects by the difference between
-    Galois-level and module-level Hom.
+    Galois-level Hom and the module-level Hom of the truncated complex.
+    Each distinct system is solved once (_kext_solve).
     """
     _same_frame(m, n)
+    return _kext_solve(_KextSystem(m, n))
+
+
+@lru_cache(maxsize=4096)   # oracle -p 7 -f 2 --samples 1 meets 384 systems
+def _kext_solve(system):
+    m, n = system.m, system.n
     f, p, ekk, ep = m.ctx.f, m.ctx.p, m.ekk, m.eprime
     field = m.field
     unknowns = []   # (index i, positive pole order D) for mu_i = t u^{-D}
@@ -348,7 +382,7 @@ def kext_dim_oracle(m, n):
           "principal-part solution breaks the pole bound")
     hom_quot = len(basis)
     hom_galois = 1 if same_generic_fibre(m, n) else 0
-    return hom_quot - (hom_galois - hom_dim(m, n))
+    return hom_quot - (hom_galois - oracle_dims(m, n)[1])
 
 
 def family_dim(tau, refined):

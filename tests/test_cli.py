@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from bktame import LocalContext, all_weights, cli, intlinalg, rankone, shapes
+from bktame import (LocalContext, all_weights, cli, enumerate_types, intlinalg,
+                    rankone, shapes)
 from bktame.cli import run
 
 # sha256 of the rendered report; any change to these bytes is a change of output
@@ -198,6 +199,38 @@ def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):
     assert len(digits) <= n_shapes
     # modules m, n and the twisted n per shape, plus the 2 pairs of the pair sweep
     assert len(alphas) <= 3 * n_shapes + 4
+
+
+def test_oracle_kext_sweep_solves_each_distinct_system_once(monkeypatch):
+    solves = []
+    nullspace_basis = shapes.nullspace_basis
+
+    def counting_nullspace(*args):
+        solves.append(args)
+        return nullspace_basis(*args)
+
+    monkeypatch.setattr(shapes, "nullspace_basis", counting_nullspace)
+    shapes._kext_solve.cache_clear()
+    rankone._alpha.cache_clear()
+    report, code = run_json(["oracle", "-p", "3", "-f", "2", "--samples", "1"])
+    assert code == 0
+    kext_rows = [it for it in report["items"] if it["key"].startswith("kext|")]
+    # rebuild each row's pair and the data its principal-part system reads
+    ctx = LocalContext(3, 2, 1)
+    types = {tau.label(): tau for tau in enumerate_types(ctx, canonical=True)}
+    systems = set()
+    for it in kext_rows:
+        tau = types[it["type"]]
+        m, n = shapes.build_MN(tau, shapes.maximal_refined(tau, it["J"]))
+        if it["products"] == "ne":
+            gen = ctx.coefficient_field(tau.kind).multiplicative_generator()
+            n = rankone.validate(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
+        f, ekk = ctx.f, m.ekk
+        systems.add((tau.kind, m.r[:f], n.r[:f],
+                     tuple((n.c[i] - m.c[i]) % ekk for i in range(f)),
+                     tuple(x.idx for x in m.a[:f]), tuple(x.idx for x in n.a[:f])))
+    assert len(solves) == len(systems) == 64
+    assert len(kext_rows) == 512
 
 
 def test_weights_report_has_dimension_checks():

@@ -1,5 +1,6 @@
 import pytest
 
+from bktame import rankone, shapes
 from bktame import (CUSPIDAL, PS, InvalidShape, LocalContext, NoNonzeroMap,
                     Shape, build_MN, build_field, enumerate_types, ext_dim,
                     exhaustive_modules, family_dim,
@@ -193,6 +194,84 @@ def test_kext_vanishing_with_generic_products_matches_admissible_set():
             for shape in shapes_for(tau):
                 vanishes = kext_dim(tau, shape, F.one(), g) == 0
                 assert vanishes == (shape.key() in admissible)
+
+
+def _kext_pairs(p, f, e):
+    """Every pair of the oracle's kExt sweep, with the closed-form value
+    criterion 3 asserts for it: the maximal pair of each shape of each
+    nonscalar canonical type, with products equal and distinct."""
+    ctx = LocalContext(p, f, e)
+    for tau in enumerate_types(ctx, canonical=True):
+        if tau.is_scalar:
+            continue
+        field = ctx.coefficient_field(tau.kind)
+        gen = field.multiplicative_generator()
+        for shape in shapes_for(tau):
+            m, n = build_MN(tau, maximal_refined(tau, shape))
+            n_g = validate(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
+            yield m, n, kext_dim(tau, shape, 1, 1)
+            yield m, n_g, kext_dim(tau, shape, field.one(), gen)
+
+
+def _clear_memos():
+    shapes._kext_solve.cache_clear()
+    rankone._alpha.cache_clear()
+
+
+def test_kext_oracle_takes_hom_from_the_truncated_complex(monkeypatch):
+    # the closed-form hom_dim raises while kext_dim_oracle runs, so the
+    # oracle shares no code with the closed form it checks
+    inside = []
+
+    def closed_form_hom(m, n):
+        if inside:
+            raise AssertionError("kext_dim_oracle called the closed-form hom_dim")
+        return hom_dim(m, n)
+
+    def kext_oracle(m, n):
+        inside.append(True)
+        try:
+            return shapes.kext_dim_oracle(m, n)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(shapes, "hom_dim", closed_form_hom)
+    monkeypatch.setattr(rankone, "hom_dim", closed_form_hom)
+    _clear_memos()
+    checked = 0
+    for f in (1, 2):
+        for e in (1, 2):
+            for m, n, closed in _kext_pairs(3, f, e):
+                assert kext_oracle(m, n) == closed
+                checked += 1
+    assert checked and not inside
+
+
+def test_kext_and_alpha_memos_match_a_fresh_computation():
+    # the memo keys hold all the data the computations read: every value
+    # from the warm memos equals one computed with the memos cleared
+    pairs = []
+    for p in (3, 5):
+        for f in (1, 2):
+            for e in (1, 2):
+                pairs.extend((m, n) for m, n, _ in _kext_pairs(p, f, e))
+                ctx = LocalContext(p, f, e)
+                rng = SplitMix64(1000 * p + 10 * f + e)
+                for kind in (PS, CUSPIDAL):
+                    for _ in range(100):
+                        pairs.append((random_module(ctx, kind, rng),
+                                      random_module(ctx, kind, rng)))
+    _clear_memos()
+    memo = [(kext_dim_oracle(m, n), rankone.alpha(m), rankone.alpha(n)) for m, n in pairs]
+    assert shapes._kext_solve.cache_info().hits > 0
+    assert rankone._alpha.cache_info().hits > 0
+
+    def fresh(fn, *args):
+        _clear_memos()
+        return fn(*args)
+
+    assert memo == [(fresh(kext_dim_oracle, m, n), fresh(rankone.alpha, m),
+                     fresh(rankone.alpha, n)) for m, n in pairs]
 
 
 def test_differential_preserves_congruence_classes():
