@@ -9,16 +9,21 @@ from bktame.gfarith import gauss_rank, nullspace_basis
 F9 = build_field(3, 2)
 print("GF(9) modulus coefficients (constant term first):", F9.modulus)
 
-g = F9.multiplicative_generator()
-print("multiplicative generator:", g, "of order", g.multiplicative_order())
+# An element is its base-p index sum(coeffs[j] * 3^j), and all arithmetic
+# is FieldSpec on bare indices; FieldElem only holds an index.
+gen = F9.multiplicative_generator()
+g = gen.idx
+powers = [1]
+while F9.mul(powers[-1], g) != 1:
+    powers.append(F9.mul(powers[-1], g))
+print("multiplicative generator:", gen, "has index", g, "and order", len(powers))
 # Frobenius is x -> x^p; on GF(p^2) applying it twice is the identity.
-print("Frobenius applied twice is the identity:", (g ** 3) ** 3 == g)
+frob = lambda x: F9.mul(F9.mul(x, x), x)
+print("Frobenius applied twice is the identity:", frob(frob(g)) == g)
 
-# An element is its base-p index sum(coeffs[j] * 3^j); FieldSpec does the
-# arithmetic on bare indices, which is what row reduction uses.
-x = F9.elem((0, 1))
-print("\nx has index", x.idx, "and x * x has index", F9.mul(x.idx, x.idx),
-      "= -1 =", F9.neg(1))
+x = F9.elem((0, 1)).idx
+print("\nx has index", x, "and x * x has index", F9.mul(x, x), "= -1 =", F9.neg(1))
+print("1 / x has index", F9.inv(x), "= -x =", F9.neg(x))
 
 # Dense row reduction over any of these fields: rank, kernel, cokernel.
 # Rows hold field-element indices; over a prime field that is the residue.
@@ -40,7 +45,6 @@ for vec in basis:
         assert total == 0
 
 # The same over GF(9): the rows (1, g) and (g, g^2) are proportional.
-g2 = (g * g).idx
-rows9 = [[1, g.idx], [g.idx, g2]]
+rows9 = [[1, g], [g, F9.mul(g, g)]]
 print("kernel basis of [[1, g], [g, g^2]] over GF(9):",
       nullspace_basis(rows9, 2, F9))

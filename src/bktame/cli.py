@@ -187,6 +187,8 @@ def _pair_items(kind, pairs, trunc):
 
 
 def cmd_oracle(ctx, args):
+    if args.samples < 0:
+        raise errors.RangeError("--samples must be at least 0, got %d" % args.samples)
     items = []
     rng = SplitMix64(args.seed)
     for kind in (PS, CUSPIDAL):

@@ -6,9 +6,9 @@ The field modulus is always the lexicographically smallest monic
 irreducible (coefficients compared low degree first), so construction is
 deterministic without external tables.  A field element is its index
 sum(coeffs[j] * p^j); fields of order up to 2^16 get exp/log tables keyed
-by index, so multiplying, inverting and raising to powers are lookups.
-FieldSpec does the arithmetic on bare indices; FieldElem wraps an index
-for callers that want operators, and row reduction works on index lists.
+by index, so multiplying and inverting are lookups.  All arithmetic is
+FieldSpec on bare indices, and row reduction works on index lists;
+FieldElem only holds an index with its field and has no operators.
 """
 
 from functools import lru_cache
@@ -223,9 +223,6 @@ class FieldSpec:
             raise RangeError("%d coefficients for a degree-%d field" % (len(coeffs), self.m))
         return FieldElem(self, self._index_of_coeffs([c % self.p for c in coeffs]))
 
-    def zero(self):
-        return FieldElem(self, 0)
-
     def one(self):
         return FieldElem(self, 1)
 
@@ -271,7 +268,8 @@ def build_field(p, m):
 
 
 class FieldElem:
-    """Immutable element of a FieldSpec, stored as its index."""
+    """An element of a FieldSpec, held as its index; arithmetic is the
+    FieldSpec's, on idx."""
 
     __slots__ = ("owner", "idx")
 
@@ -283,87 +281,10 @@ class FieldElem:
     def coeffs(self):
         return _digits(self.idx, self.owner.p, self.owner.m)
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.owner != self.owner:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, int):
-            return self.owner.elem(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.owner, self.owner.add(self.idx, other.idx))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.owner, self.owner.add(self.idx, other.idx, -1))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return FieldElem(self.owner, self.owner.neg(self.idx))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.owner, self.owner.mul(self.idx, other.idx))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return FieldElem(self.owner, self.owner.inv(self.idx))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        F = self.owner
-        if not self:
-            if n == 0:
-                return F.one()
-            if n < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return F.zero()
-        if F._log is not None:
-            return FieldElem(F, F._exp[(F._log[self.idx] * n) % (F.order - 1)])
-        if n < 0:
-            return self.inverse() ** (-n)
-        result, base, e = F.one(), self, n
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def multiplicative_order(self):
-        if not self:
-            raise ZeroDivisionError("order of zero")
-        n = self.owner.order - 1
-        for ell in _factorize(n):
-            while n % ell == 0 and self ** (n // ell) == self.owner.one():
-                n //= ell
-        return n
-
     def __bool__(self):
         return self.idx != 0
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.owner.elem(other)
         return (isinstance(other, FieldElem) and self.idx == other.idx
                 and self.owner == other.owner)
 

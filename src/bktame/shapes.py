@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InvalidShape, NoNonzeroMap, TruncationUnstable, check
+from .errors import (InvalidShape, NoNonzeroMap, RangeError, TruncationUnstable,
+                     check)
 from .gfarith import gauss_rank, nullspace_basis
 from .rankone import (_same_frame, hom_dim, same_generic_fibre,
                       twist_conjugate, validate)
@@ -287,6 +288,8 @@ def oracle_dims(m, n, trunc=None):
     checked at two truncation levels."""
     _same_frame(m, n)
     level = _default_trunc(m.ctx) if trunc is None else trunc
+    if level < 1:
+        raise RangeError("truncation level must be at least 1, got %d" % level)
     first = _dims_at_level(m, n, level)
     second = _dims_at_level(m, n, level + 1)
     if first != second:

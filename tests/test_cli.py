@@ -1,4 +1,6 @@
+import ast
 import functools
+import glob
 import hashlib
 import json
 import os
@@ -64,7 +66,11 @@ def test_types_ordered_lists_pairs():
     ("types -p 2 -f 1", "p must be odd"),
     ("ptau -p 3 -f 1 --type cusp:4", "bad type selector"),
     ("oracle -p 3 -f 2 --exhaustive", "f = 1 only"),
-], ids=["even_p", "bad_type_selector", "exhaustive_needs_f1"])
+    ("oracle -p 3 -f 1 --trunc -3", "truncation level must be at least 1, got -3"),
+    ("oracle -p 3 -f 1 --trunc 0", "truncation level must be at least 1, got 0"),
+    ("oracle -p 3 -f 1 --samples -5", "--samples must be at least 0, got -5"),
+], ids=["even_p", "bad_type_selector", "exhaustive_needs_f1", "negative_trunc", "zero_trunc",
+        "negative_samples"])
 def test_bad_input_exits_2(argv, message):
     text, code = run(argv.split())
     assert code == 2 and message in text
@@ -89,6 +95,22 @@ def test_pinned_reports_survive_python_O(argv):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256[argv]
+
+
+def test_no_module_uses_assert():
+    # python -O compiles assert statements out, so invariant checks in the
+    # package go through errors.check instead; this covers every module, not
+    # only the commands run above
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "bktame")
+    paths = sorted(glob.glob(os.path.join(src, "*.py")))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, "assert statements vanish under python -O: %s" % found
 
 
 def _random_json(rng, depth):

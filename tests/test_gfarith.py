@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bktame import (CUSPIDAL, PS, FieldSpec, LocalContext, NotPrime, DegreeTooLarge,
-                    RangeError, build_field,
+from bktame import (CUSPIDAL, PS, FieldElem, FieldSpec, LocalContext, NotPrime,
+                    DegreeTooLarge, RangeError, build_field,
                     ext_dim, hom_dim, oracle_dims, random_module)
 from bktame.gfarith import _pdivmod, gauss_rank, nullspace_basis
 from bktame.rng import SplitMix64
@@ -61,21 +61,42 @@ def test_modulus_is_irreducible_by_trial_division(p, m):
             assert _pdivmod(f, g, p)[1] != (), (f, g)
 
 
+def _power(F, x, n):
+    """Index of x^n for n >= 0, by square-and-multiply over F.mul."""
+    result = 1
+    while n:
+        if n & 1:
+            result = F.mul(result, x)
+        x = F.mul(x, x)
+        n >>= 1
+    return result
+
+
+def _order(F, x):
+    """Multiplicative order of a nonzero index x, by counting steps of F.mul."""
+    n, y = 1, x
+    while y != 1:
+        y = F.mul(y, x)
+        n += 1
+    return n
+
+
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 4), (5, 8)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_field_axioms_on_random_triples(p, m, data):
+    # (5, 8) has 390625 elements: no exp/log tables, so mul and inv run the
+    # polynomial arithmetic
     F = build_field(p, m)
     idx = st.integers(min_value=0, max_value=F.order - 1)
-    x = F.elem(tuple(build_digits(data.draw(idx), p, m)))
-    y = F.elem(tuple(build_digits(data.draw(idx), p, m)))
-    z = F.elem(tuple(build_digits(data.draw(idx), p, m)))
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + (-x) == F.zero()
+    x, y, z = (F.elem(tuple(build_digits(data.draw(idx), p, m))).idx for _ in range(3))
+    add, mul = F.add, F.mul
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert add(x, F.neg(x)) == 0
     if x:
-        assert x * x.inverse() == F.one()
+        assert mul(x, F.inv(x)) == 1
 
 
 def build_digits(value, p, m):
@@ -91,13 +112,28 @@ def test_elem_rejects_more_coefficients_than_the_degree():
     with pytest.raises(RangeError):
         F.elem((1, 0, 0))
     with pytest.raises(RangeError):
-        F.elem((1, 2, 1)) * F.one()
+        F.elem((1, 2, 1))
     assert F.elem((2,)) == F.elem((2, 0)) == F.elem(2)
+
+
+def test_field_elements_equal_only_field_elements_and_hash_alike():
+    # an int is never a field element, and equal elements hash equal, so
+    # elements and ints can share a dict or set without aliasing
+    for p, m in [(3, 1), (3, 2), (5, 1)]:
+        F = build_field(p, m)
+        fresh = FieldSpec(p, m, F.modulus)
+        for idx in range(F.order):
+            x = FieldElem(F, idx)
+            assert all(x != k for k in range(-F.order, 2 * F.order))
+            for twin in (F.elem(x.coeffs), FieldElem(fresh, idx)):
+                assert twin == x and hash(twin) == hash(x)
+        assert {F.one(): "v"}.get(1) is None
+    assert build_field(3, 1).one() != build_field(5, 1).one()
 
 
 def test_arithmetic_converts_no_representation(monkeypatch):
     F = build_field(7, 2)
-    x, y = F.multiplicative_generator(), F.elem((3, 5))
+    x, y = F.multiplicative_generator().idx, F.elem((3, 5)).idx
     ctx = LocalContext(7, 2, 1)
     rng = SplitMix64(11)
     pairs = [(random_module(ctx, kind, rng), random_module(ctx, kind, rng))
@@ -107,27 +143,30 @@ def test_arithmetic_converts_no_representation(monkeypatch):
         raise AssertionError("coefficient tuple converted to an index")
 
     monkeypatch.setattr(FieldSpec, "_index_of_coeffs", no_conversion)
-    assert (x + y) * (x - y) / y == x * x / y - y
-    assert (x * y).inverse() == x.inverse() * y.inverse() == (x * y) ** -1
-    assert x ** 48 == F.one() and -x + x == 0 and x ** 24 == -1
-    assert hash(x * y) == hash(y * x) and x != y
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    assert (mul(mul(add(x, y), add(x, y, -1)), inv(y))
+            == add(mul(mul(x, x), inv(y)), y, -1))
+    xy = mul(x, y)
+    assert inv(xy) == mul(inv(x), inv(y)) == _power(F, xy, 47)
+    assert _power(F, x, 48) == 1 and add(neg(x), x) == 0 and _power(F, x, 24) == neg(1)
+    assert xy == mul(y, x) and x != y
     for m, n in pairs:
         assert oracle_dims(m, n) == (ext_dim(m, n), hom_dim(m, n))
 
 
-# Frobenius is x -> x ** p
+# Frobenius is x -> x^p
 
 
 def test_frobenius_fixes_prime_field():
     F = build_field(3, 1)
-    assert F.elem(2) ** 3 == F.elem(2)
+    assert _power(F, 2, 3) == 2
 
 
 def test_frobenius_on_gf9_generator():
     F = build_field(3, 2)
-    g = F.multiplicative_generator()
-    assert g.multiplicative_order() == 8
-    assert (g ** 3) ** 3 == g
+    g = F.multiplicative_generator().idx
+    assert _order(F, g) == 8
+    assert _power(F, _power(F, g, 3), 3) == g
 
 
 def test_multiplicative_generator_is_found_once(monkeypatch):
@@ -137,21 +176,23 @@ def test_multiplicative_generator_is_found_once(monkeypatch):
         raise AssertionError("generator searched again")
 
     monkeypatch.setattr(FieldSpec, "_find_generator_coeffs", no_search)
-    assert F.multiplicative_generator().multiplicative_order() == 8
+    assert _order(F, F.multiplicative_generator().idx) == 8
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 4)])
 def test_frobenius_is_ring_hom_of_exact_order_m(p, m):
     F = build_field(p, m)
-    g = F.multiplicative_generator()
-    h = g + F.one()
-    assert (g * h) ** p == g ** p * h ** p
-    assert (g + h) ** p == g ** p + h ** p
+    g = F.multiplicative_generator().idx
+    assert _order(F, g) == F.order - 1
+    h = F.add(g, 1)
+    frob = lambda x: _power(F, x, p)
+    assert frob(F.mul(g, h)) == F.mul(frob(g), frob(h))
+    assert frob(F.add(g, h)) == F.add(frob(g), frob(h))
     x, seen_identity_early = g, False
     for _ in range(m - 1):
-        x = x ** p
+        x = frob(x)
         seen_identity_early = seen_identity_early or x == g
-    assert x ** p == g and not seen_identity_early
+    assert frob(x) == g and not seen_identity_early
 
 
 # -- linear algebra --
