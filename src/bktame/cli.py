@@ -194,10 +194,10 @@ def cmd_oracle(ctx, args):
     for kind in (PS, CUSPIDAL):
         if args.exhaustive:
             mods = exhaustive_modules(ctx, kind)
-            pairs = [(m, n) for m in mods for n in mods]
+            pairs = ((m, n) for m in mods for n in mods)
         else:
-            pairs = [(random_module(ctx, kind, rng), random_module(ctx, kind, rng))
-                     for _ in range(args.samples)]
+            pairs = ((random_module(ctx, kind, rng), random_module(ctx, kind, rng))
+                     for _ in range(args.samples))
         items.extend(_pair_items(kind, pairs, args.trunc))
     # kExt sweep over every maximal refined shape, both product choices
     for tau in enumerate_types(ctx, canonical=True):

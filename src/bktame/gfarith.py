@@ -216,9 +216,13 @@ class FieldSpec:
         raise InternalError("no multiplicative generator found (internal error)")
 
     def elem(self, coeffs):
-        """An int is taken mod p; a tuple gives the coefficients, zero-padded to m."""
+        """An int in [0, p) is that prime-field element, whose index and
+        residue agree; a tuple gives the coefficients mod p, zero-padded to m."""
         if isinstance(coeffs, int):
-            return FieldElem(self, coeffs % self.p)
+            if not 0 <= coeffs < self.p:
+                raise RangeError("int coefficient %d outside [0, %d); pass a tuple"
+                                 % (coeffs, self.p))
+            return FieldElem(self, coeffs)
         if len(coeffs) > self.m:
             raise RangeError("%d coefficients for a degree-%d field" % (len(coeffs), self.m))
         return FieldElem(self, self._index_of_coeffs([c % self.p for c in coeffs]))

@@ -77,9 +77,10 @@ class GaloisChar:
 def validate(ctx, kind, r, a, c):
     """Check all structure invariants and return the module.
 
-    Requires: entries r_i in [0, e']; a_i nonzero in GF(p^{f'}); c_i
-    residues mod p^{f'} - 1; all three vectors periodic with period
-    dividing f; and p*c_{i-1} = c_i + r_i mod p^{f'} - 1 for every i.
+    Requires: entries r_i in [0, e']; a_i nonzero in GF(p^{f'}), an int
+    a_i naming a prime-field element in [0, p); c_i residues mod
+    p^{f'} - 1; all three vectors periodic with period dividing f; and
+    p*c_{i-1} = c_i + r_i mod p^{f'} - 1 for every i.
     """
     fp = ctx.fprime(kind)
     ekk = ctx.ekk(kind)

@@ -228,46 +228,60 @@ def _default_trunc(ctx):
     return -((ctx.p * ctx.e + 1) // -(ctx.p - 1)) + 1
 
 
-def _complex_matrix(m, n, level):
+def _oracle_system(m, n):
+    """The whole input of the truncated-complex solve of the pair: the
+    frame, r over one period, the residues (m.c - n.c) mod p^{f'} - 1, and
+    both coefficient vectors as indices divided by the unit m.a[0], which
+    scales the whole matrix and so changes no rank."""
+    f, ekk, field = m.ctx.f, m.ekk, m.field
+    unit = field.inv(m.a[0].idx)
+    return (m.ctx, m.kind, m.r[:f], n.r[:f],
+            tuple((m.c[i] - n.c[i]) % ekk for i in range(f)),
+            tuple(field.mul(x.idx, unit) for x in m.a[:f]),
+            tuple(field.mul(x.idx, unit) for x in n.a[:f]))
+
+
+def _complex_matrix(system, level):
     """The truncated differential of the explicit two-term complex.
 
     Returns (columns, col_keys, out_dim): column vectors, as {slot: field
     element index}, on the monomial basis of the degree-constrained
     target truncated at v^level, plus (index, degree) keys of the domain
-    basis.  v = u^{p^{f'}-1}.
+    basis.  v = u^{p^{f'}-1}.  Reads only the system (_oracle_system).
     """
-    f = m.ctx.f
-    ekk = m.ekk
-    field = m.field
-    in_cls = [(m.c[i] - n.c[i]) % ekk for i in range(f)]
-    out_cls = [(m.r[i] + m.c[i] - n.c[i]) % ekk for i in range(f)]
+    ctx, kind, mr, nr, in_cls, ma, na = system
+    f = ctx.f
+    ekk = ctx.ekk(kind)
+    field = ctx.coefficient_field(kind)
     out_slot = {}
     for i in range(f):
+        out_cls = (mr[i] + in_cls[i]) % ekk
         for k in range(level):
-            out_slot[(i, out_cls[i] + k * ekk)] = i * level + k
+            out_slot[(i, out_cls + k * ekk)] = i * level + k
     cols = []
     keys = []
     for i in range(f):
         for k in range(level):
             deg = in_cls[i] + k * ekk
             col = {}
-            d1 = m.r[i] + deg
+            d1 = mr[i] + deg
             slot = out_slot.get((i, d1))
             if slot is not None:
-                col[slot] = field.add(col.get(slot, 0), m.a[i].idx, -1)
+                col[slot] = field.add(col.get(slot, 0), ma[i], -1)
             j = (i + 1) % f
-            d2 = n.r[j] + m.ctx.p * deg
+            d2 = nr[j] + ctx.p * deg
             slot = out_slot.get((j, d2))
             if slot is not None:
-                col[slot] = field.add(col.get(slot, 0), n.a[j].idx)
+                col[slot] = field.add(col.get(slot, 0), na[j])
             cols.append(col)
             keys.append((i, deg))
     return cols, keys, f * level
 
 
-def _dims_at_level(m, n, level):
-    cols, keys, out_dim = _complex_matrix(m, n, level)
-    field = m.field
+def _dims_at_level(system, level):
+    cols, keys, out_dim = _complex_matrix(system, level)
+    ctx, kind, mr = system[:3]
+    field = ctx.coefficient_field(kind)
     rows = [[0] * len(cols) for _ in range(out_dim)]
     for cidx, col in enumerate(cols):
         for slot, val in col.items():
@@ -277,7 +291,8 @@ def _dims_at_level(m, n, level):
     # Hom is the kernel after quotienting the domain by the preimage of
     # v^level under the Frobenius-precomposition map: keep only columns
     # whose monomial survives multiplication by u^{r_i}.
-    keep = [idx for idx, (i, deg) in enumerate(keys) if m.r[i] + deg < level * m.ekk]
+    bound = level * ctx.ekk(kind)
+    keep = [idx for idx, (i, deg) in enumerate(keys) if mr[i] + deg < bound]
     sub = [[row[idx] for idx in keep] for row in rows]
     hom = len(keep) - gauss_rank(sub, field)
     return ext, hom
@@ -285,13 +300,19 @@ def _dims_at_level(m, n, level):
 
 def oracle_dims(m, n, trunc=None):
     """(dim Ext^1, dim Hom) by row reduction of the truncated complex,
-    checked at two truncation levels."""
+    checked at two truncation levels.  Each distinct system is solved
+    once (_oracle_solve)."""
     _same_frame(m, n)
     level = _default_trunc(m.ctx) if trunc is None else trunc
     if level < 1:
         raise RangeError("truncation level must be at least 1, got %d" % level)
-    first = _dims_at_level(m, n, level)
-    second = _dims_at_level(m, n, level + 1)
+    return _oracle_solve(_oracle_system(m, n), level)
+
+
+@lru_cache(maxsize=1 << 15)   # oracle -p 7 -f 1 --exhaustive meets 23,472 systems
+def _oracle_solve(system, level):
+    first = _dims_at_level(system, level)
+    second = _dims_at_level(system, level + 1)
     if first != second:
         raise TruncationUnstable("levels %d and %d disagree: %r vs %r"
                                  % (level, level + 1, first, second))

@@ -28,6 +28,10 @@ REPORT_SHA256 = {
         "eb3e26cdd8491a39d6431d5bb022641a4ba43a5bca99312b6f74d9e55c831450",
     "oracle -p 3 -f 1 -e 2 --samples 40 --seed 5":
         "6c840fd594ad025c12e9a9d57b92ef573e7ea2c663efaf1baac9d2f42550ea12",
+    "oracle -p 3 -f 1 --exhaustive":
+        "e3cf049d7c992a744efa081006bc911ecbf49e311c5bc233524a8d9247a0f3ae",
+    "oracle -p 3 -f 1 -e 2 --exhaustive":
+        "4ddac807aaa69e082b5d081731fb751e68b1da05bdd4863f729cc9fc9cf8bf27",
     "oracle -p 3 -f 2 --samples 20 --seed 9":
         "278bea85ff490cfc2c295fd6c0dab764bc10dd418cb0f7d0df0eb3fc7805f43a",
     "bm -p 3 -f 2 --seed 4 --format csv":
@@ -232,6 +236,7 @@ def test_oracle_kext_sweep_solves_each_distinct_system_once(monkeypatch):
         return nullspace_basis(*args)
 
     monkeypatch.setattr(shapes, "nullspace_basis", counting_nullspace)
+    shapes._oracle_solve.cache_clear()
     shapes._kext_solve.cache_clear()
     rankone._alpha.cache_clear()
     report, code = run_json(["oracle", "-p", "3", "-f", "2", "--samples", "1"])
@@ -253,6 +258,50 @@ def test_oracle_kext_sweep_solves_each_distinct_system_once(monkeypatch):
                      tuple(x.idx for x in m.a[:f]), tuple(x.idx for x in n.a[:f])))
     assert len(solves) == len(systems) == 64
     assert len(kext_rows) == 512
+
+
+def test_oracle_pair_sweep_solves_each_distinct_system_once(monkeypatch):
+    builds = []
+    complex_matrix = shapes._complex_matrix
+
+    def counting_matrix(*args):
+        builds.append(args)
+        return complex_matrix(*args)
+
+    monkeypatch.setattr(shapes, "_complex_matrix", counting_matrix)
+    shapes._oracle_solve.cache_clear()
+    shapes._kext_solve.cache_clear()
+    report, code = run_json(["oracle", "-p", "3", "-f", "1", "-e", "2",
+                             "--samples", "40", "--seed", "5"])
+    assert code == 0
+    ctx = LocalContext(3, 1, 2)
+
+    def module(kind, row):
+        field = ctx.coefficient_field(kind)
+        return rankone.validate(ctx, kind, row["r"], [field.elem(tuple(x)) for x in row["a"]],
+                                row["c"])
+
+    pairs = [(module(it["kind"], it["M"]), module(it["kind"], it["N"]))
+             for it in report["items"] if "M" in it]
+    assert len(pairs) == 80
+    # the kExt sweep solves the complex of each standard pair and its twist
+    for tau in enumerate_types(ctx, canonical=True):
+        if tau.is_scalar:
+            continue
+        gen = ctx.coefficient_field(tau.kind).multiplicative_generator()
+        for shape in shapes.shapes_for(tau):
+            m, n = shapes.build_MN(tau, shapes.maximal_refined(tau, shape))
+            pairs.append((m, n))
+            pairs.append((m, rankone.validate(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)))
+    # the data each solve reads at f = 1, where m.a[0] / m.a[0] is 1
+    systems = set()
+    for m, n in pairs:
+        field, ekk = m.field, m.ekk
+        unit = field.inv(m.a[0].idx)
+        systems.add((m.kind, m.r[0], n.r[0], (m.c[0] - n.c[0]) % ekk,
+                     field.mul(n.a[0].idx, unit)))
+    # levels L and L + 1 of each distinct system, built once
+    assert len(builds) == 2 * len(systems) < 2 * len(pairs)
 
 
 def test_weights_report_has_dimension_checks():

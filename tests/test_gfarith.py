@@ -116,6 +116,20 @@ def test_elem_rejects_more_coefficients_than_the_degree():
     assert F.elem((2,)) == F.elem((2, 0)) == F.elem(2)
 
 
+def test_int_coefficients_name_prime_field_elements_only():
+    # on [0, p) an int's residue and index readings agree; outside it the
+    # two disagree, so elem refuses the int instead of reducing it mod p
+    for p, m in [(3, 1), (3, 2), (5, 2)]:
+        F = build_field(p, m)
+        for k in range(p):
+            assert F.elem(k).idx == k and F.elem(k) == F.elem((k,))
+        for k in (-1, p, p + 1, p * p - 1):
+            with pytest.raises(RangeError):
+                F.elem(k)
+    F9 = build_field(3, 2)
+    assert F9.elem((4, 5)) == F9.elem((1, 2)) and F9.elem((-1,)) == F9.elem((2,))
+
+
 def test_field_elements_equal_only_field_elements_and_hash_alike():
     # an int is never a field element, and equal elements hash equal, so
     # elements and ints can share a dict or set without aliasing
@@ -209,14 +223,14 @@ def test_smallest_ext_instance_cokernel():
     # principal-series pair, on the congruence-constrained monomial basis;
     # its cokernel dimension must agree with the known Ext dimension 2
     from bktame import LocalContext, PS, build_MN, make_type, maximal_refined
-    from bktame.shapes import _complex_matrix
+    from bktame.shapes import _complex_matrix, _oracle_system
 
     ctx = LocalContext(3, 1, 1)
     tau = make_type(ctx, PS, 1, 0)
     m, n = build_MN(tau, maximal_refined(tau, {0}))
     F = m.field
     for level in (2, 3):
-        cols, _, out_dim = _complex_matrix(m, n, level)
+        cols, _, out_dim = _complex_matrix(_oracle_system(m, n), level)
         rows = [[0] * len(cols) for _ in range(out_dim)]
         for j, col in enumerate(cols):
             for slot, val in col.items():

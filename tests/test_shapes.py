@@ -2,6 +2,7 @@ import pytest
 
 from bktame import rankone, shapes
 from bktame import (CUSPIDAL, PS, InvalidShape, LocalContext, NoNonzeroMap,
+                    RangeError, TruncationUnstable,
                     Shape, build_MN, build_field, enumerate_types, ext_dim,
                     exhaustive_modules, family_dim,
                     gamma_digits, gamma_star, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
@@ -166,6 +167,18 @@ def test_kext_examples():
     assert kext_dim(TAU_C, {0}, F9.one(), g) == 1
 
 
+def test_int_products_and_coefficients_must_lie_in_the_prime_field():
+    # 4 is an index of GF(9) but not a residue mod 3; read mod 3 it became 1,
+    # and kext_dim counted the products as equal
+    F9 = build_field(3, 2)
+    assert kext_dim(TAU_C, {0}, F9.one(), F9.elem((1, 1))) == 1
+    with pytest.raises(RangeError):
+        kext_dim(TAU_C, {0}, 1, 4)
+    with pytest.raises(RangeError):
+        validate(CTX, PS, (2,), (4,), (1,))
+    assert validate(CTX, PS, (2,), (2,), (1,)).a == (build_field(3, 1).elem((2,)),)
+
+
 def test_kext_oracle_reproduces_examples():
     m, n = build_MN(TAU_PS, maximal_refined(TAU_PS, {0}))
     assert kext_dim_oracle(m, n) == 0
@@ -214,6 +227,7 @@ def _kext_pairs(p, f, e):
 
 
 def _clear_memos():
+    shapes._oracle_solve.cache_clear()
     shapes._kext_solve.cache_clear()
     rankone._alpha.cache_clear()
 
@@ -274,13 +288,64 @@ def test_kext_and_alpha_memos_match_a_fresh_computation():
                      fresh(rankone.alpha, n)) for m, n in pairs]
 
 
+def _untabled_pairs():
+    ctx = LocalContext(7, 3, 1)
+    rng = SplitMix64(76)
+    return [(random_module(ctx, CUSPIDAL, rng), random_module(ctx, CUSPIDAL, rng))
+            for _ in range(20)]
+
+
+def test_oracle_memo_matches_a_fresh_solve_of_the_raw_pair():
+    # the memo key is the whole input of the solve: every warm-memo value
+    # equals a solve, with the memo cleared, of the pair's own coefficients
+    # and residues, not normalised by m.a[0]
+    pairs = []
+    for e in (1, 2):
+        for kind in (PS, CUSPIDAL):
+            mods = exhaustive_modules(LocalContext(3, 1, e), kind)
+            pairs.extend((m, n) for m in mods for n in mods)
+    ctx = LocalContext(3, 2, 1)
+    rng = SplitMix64(32)
+    for kind in (PS, CUSPIDAL):
+        pairs.extend((random_module(ctx, kind, rng), random_module(ctx, kind, rng))
+                     for _ in range(100))
+    pairs.extend(_untabled_pairs())
+    _clear_memos()
+    memo = [oracle_dims(m, n) for m, n in pairs]
+    info = shapes._oracle_solve.cache_info()
+    assert info.hits > 10 * info.misses
+
+    def fresh(m, n):
+        f, ekk = m.ctx.f, m.ekk
+        raw = (m.ctx, m.kind, m.r[:f], n.r[:f],
+               tuple((m.c[i] - n.c[i]) % ekk for i in range(f)),
+               tuple(x.idx for x in m.a[:f]), tuple(x.idx for x in n.a[:f]))
+        _clear_memos()
+        return shapes._oracle_solve(raw, shapes._default_trunc(m.ctx))
+
+    assert memo == [fresh(m, n) for m, n in pairs]
+
+
+def test_oracle_memo_keeps_both_checks():
+    m, n = build_MN(TAU_PS, maximal_refined(TAU_PS, {0}))
+    _clear_memos()
+    with pytest.raises(RangeError):
+        oracle_dims(m, n, 0)
+    # level 1 does not stabilise for this pair: neither the memoised level-2
+    # result nor a retry answers it, so every call raises
+    assert oracle_dims(m, n, 2) == (2, 1)
+    for _ in range(2):
+        with pytest.raises(TruncationUnstable):
+            oracle_dims(m, n, 1)
+
+
 def test_differential_preserves_congruence_classes():
     # the two terms of the differential land in the target classes
     from bktame.shapes import _complex_matrix
     for tau in (TAU_PS, TAU_C):
         for shape in shapes_for(tau):
             m, n = build_MN(tau, maximal_refined(tau, shape))
-            cols, keys, _ = _complex_matrix(m, n, 4)
+            cols, keys, _ = _complex_matrix(shapes._oracle_system(m, n), 4)
             ekk = m.ekk
             out_cls = [(m.r[i] + m.c[i] - n.c[i]) % ekk for i in range(m.ctx.f)]
             for col, (i, deg) in zip(cols, keys):
@@ -327,10 +392,7 @@ def test_oracle_exhaustive_smallest_context():
 
 
 def test_oracle_agrees_over_an_untabled_field():
-    ctx = LocalContext(7, 3, 1)
-    assert ctx.coefficient_field(CUSPIDAL)._log is None  # GF(7^6) has no tables
-    rng = SplitMix64(76)
-    for _ in range(20):
-        m = random_module(ctx, CUSPIDAL, rng)
-        n = random_module(ctx, CUSPIDAL, rng)
+    # GF(7^6) has no tables
+    assert LocalContext(7, 3, 1).coefficient_field(CUSPIDAL)._log is None
+    for m, n in _untabled_pairs():
         assert (ext_dim(m, n), hom_dim(m, n)) == oracle_dims(m, n)
