@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from operator import itemgetter
 
 from . import errors
 from .rankone import (RankOneBK, exhaustive_modules, galois_char, hom_dim,
@@ -28,6 +29,7 @@ from .weights import (Cycle, all_weights, c_sigma_cycle, char_TN,
                       sigma_tau_J, solve_n_tau, z_tau_cycle)
 
 OUTPUT_DIR_ENV = "BKTAME_OUTPUT_DIR"
+_WRITE_SLICE = 1 << 20   # characters per write of a report
 
 _json_str = json.encoder.encode_basestring_ascii
 _JSON_LEAVES = {str: _json_str, int: int.__repr__, type(None): lambda _: "null",
@@ -70,22 +72,9 @@ def _cycle_json(cycle):
             for w, m in sorted(cycle.mult.items(), key=lambda kv: (kv[0].t, kv[0].s))]
 
 
-def _make_report(command, ctx, items, echo):
-    items = sorted(items, key=lambda it: it["key"])
-    fails = sum(1 for it in items if it.get("ok") is False)
-    return {
-        "command": command,
-        "echo": echo,
-        "context": {"p": ctx.p, "f": ctx.f, "e": ctx.e},
-        "items": items,
-        "summary": {"pass": len(items) - fails, "fail": fails, "millis": 0},
-    }
-
-
 def cmd_types(ctx, args):
-    items = []
     for tau in _selected_types(ctx, args):
-        items.append({
+        yield {
             "key": tau.label(),
             "kind": tau.kind,
             "k0": tau.k0,
@@ -93,8 +82,7 @@ def cmd_types(ctx, args):
             "scalar": tau.is_scalar,
             "gamma": list(gamma_digits(tau)),
             "ok": True,
-        })
-    return items
+        }
 
 
 def _shape_columns(tau):
@@ -111,7 +99,6 @@ def _shape_columns(tau):
 
 def cmd_ptau(ctx, args):
     columns = {}   # (kind, scalar) -> _shape_columns of the group's first type
-    items = []
     for tau in _selected_types(ctx, args):
         group = (tau.kind, tau.is_scalar)
         if group not in columns:
@@ -119,7 +106,7 @@ def cmd_ptau(ctx, args):
         label, gamma = tau.label(), gamma_digits(tau)
         # admissibility reads only p, J and the shape's transitions besides gamma
         for shape, suffix, J, count, y, dim in columns[group]:
-            items.append({
+            yield {
                 "key": label + suffix,
                 "type": label,
                 "J": J,
@@ -128,12 +115,10 @@ def cmd_ptau(ctx, args):
                 "maximal_y": y,
                 "family_dim": dim,
                 "ok": True,
-            })
-    return items
+            }
 
 
 def cmd_weights(ctx, args):
-    items = []
     for tau in _selected_types(ctx, args):
         total = 0
         for shape in p_tau(tau):
@@ -142,7 +127,7 @@ def cmd_weights(ctx, args):
             exp_formula = char_TN(tau, shape)
             _, n = build_MN(tau, maximal_refined(tau, shape))
             exp_alpha = galois_char(n).tame_exp
-            items.append({
+            yield {
                 "key": "%s|J=%s" % (tau.label(), _shape_str(shape.J)),
                 "type": tau.label(),
                 "J": sorted(shape.J),
@@ -151,17 +136,16 @@ def cmd_weights(ctx, args):
                 "char_exponent": exp_formula,
                 "char_exponent_alpha_route": exp_alpha,
                 "ok": exp_formula == exp_alpha,
-            })
+            }
         q = ctx.q
         want = 1 if tau.is_scalar else (q + 1 if tau.kind == PS else q - 1)
-        items.append({
+        yield {
             "key": "%s|dimsum" % tau.label(),
             "type": tau.label(),
             "dim_total": total,
             "dim_expected": want,
             "ok": total == want,
-        })
-    return items
+        }
 
 
 def _module_json(m):
@@ -169,12 +153,11 @@ def _module_json(m):
 
 
 def _pair_items(kind, pairs, trunc):
-    items = []
     for idx, (m, n) in enumerate(pairs):
         hv = hom_dim(m, n)
         ev = hv + _ext_beyond_hom(m, n)
         ov, oh = oracle_dims(m, n, trunc)
-        items.append({
+        yield {
             "key": "%s|pair%06d" % (kind, idx),
             "kind": kind,
             "M": _module_json(m),
@@ -182,14 +165,12 @@ def _pair_items(kind, pairs, trunc):
             "ext": ev, "ext_oracle": ov,
             "hom": hv, "hom_oracle": oh,
             "ok": ev == ov and hv == oh,
-        })
-    return items
+        }
 
 
 def cmd_oracle(ctx, args):
     if args.samples < 0:
         raise errors.RangeError("--samples must be at least 0, got %d" % args.samples)
-    items = []
     rng = SplitMix64(args.seed)
     for kind in (PS, CUSPIDAL):
         if args.exhaustive:
@@ -198,7 +179,7 @@ def cmd_oracle(ctx, args):
         else:
             pairs = ((random_module(ctx, kind, rng), random_module(ctx, kind, rng))
                      for _ in range(args.samples))
-        items.extend(_pair_items(kind, pairs, args.trunc))
+        yield from _pair_items(kind, pairs, args.trunc)
     # kExt sweep over every maximal refined shape, both product choices
     for tau in enumerate_types(ctx, canonical=True):
         if tau.is_scalar:
@@ -213,26 +194,26 @@ def cmd_oracle(ctx, args):
             for tag, prod_b, nn in (("eq", field.one(), n), ("ne", gen, n_twist)):
                 kv = kext_dim(tau, shape, field.one(), prod_b)
                 ko = kext_dim_oracle(m, nn)
-                items.append({
+                yield {
                     "key": "kext|%s|J=%s|%s" % (tau.label(), _shape_str(shape.J), tag),
                     "type": tau.label(),
                     "J": sorted(shape.J),
                     "products": tag,
                     "kext": kv, "kext_oracle": ko,
                     "ok": kv == ko,
-                })
-    return items
+                }
 
 
 def cmd_bm(ctx, args):
-    weight_rows = []
+    unit_cycles = True
     for w in all_weights(ctx):
         n = solve_n_tau(ctx, w)
         cyc = c_sigma_cycle(n)
         unit = Cycle.unit(w)
         n_perm = solve_n_tau(ctx, w, permute_seed=args.seed or 1)
         cyc_perm = c_sigma_cycle(n_perm)
-        weight_rows.append({
+        unit_cycles &= cyc == unit
+        yield {
             "key": "weight|t=%s|s=%s" % (list(w.t), list(w.s)),
             "weight": _weight_json(w),
             "n_tau": [{"type": t.label(), "coeff": v} for t, v in
@@ -241,59 +222,54 @@ def cmd_bm(ctx, args):
             "unit_cycle_permuted": cyc_perm == unit,
             "n_tau_permuted_differs": n_perm != n,
             "ok": cyc == unit and cyc_perm == unit,
-        })
-    # the orthogonality row w is the cycle of w's decomposition
-    items = [{"key": "orthogonality",
-              "ok": all(row["unit_cycle"] for row in weight_rows)}]
-    items.extend(weight_rows)
+        }
+    # the orthogonality row: w is the cycle of w's decomposition for every w
+    yield {"key": "orthogonality", "ok": unit_cycles}
     for tau in enumerate_types(ctx, canonical=True):
         cyc = z_tau_cycle(tau)
-        items.append({
+        yield {
             "key": "ztau|%s" % tau.label(),
             "type": tau.label(),
             "cycle": _cycle_json(cyc),
             "ok": cyc.is_reduced_effective,
-        })
-    return items
+        }
 
 
 def cmd_components(ctx, args):
-    items = []
     for tau in _selected_types(ctx, args):
         if tau.is_scalar:
-            items.append({
+            yield {
                 "key": "%s|count" % tau.label(),
                 "type": tau.label(),
                 "components": components_count(tau),
                 "ok": components_count(tau) == 1,
-            })
+            }
             continue
         supports = set()
         for shape in shapes_for(tau):
             pattern = dieudonne_pattern(tau, shape)
             support = divisor_support(tau, shape)
             supports.add(tuple(sorted(support)))
-            items.append({
+            yield {
                 "key": "%s|J=%s" % (tau.label(), _shape_str(shape.J)),
                 "type": tau.label(),
                 "J": sorted(shape.J),
                 "pattern": [list(entry) for entry in pattern.entries],
                 "divisor_support": sorted(support),
                 "ok": True,
-            })
-        items.append({
+            }
+        yield {
             "key": "%s|count" % tau.label(),
             "type": tau.label(),
             "components": len(supports),
             "ok": len(supports) == components_count(tau),
-        })
-        items.append({
+        }
+        yield {
             "key": "%s|cycle" % tau.label(),
             "type": tau.label(),
             "cycle": _cycle_json(z_tau_cycle(tau)),
             "ok": True,
-        })
-    return items
+        }
 
 
 COMMANDS = {
@@ -306,10 +282,10 @@ COMMANDS = {
 }
 
 
-def _render_csv(report):
-    keys = sorted({k for it in report["items"] for k in it})
+def _render_csv(report, rows):
+    keys = sorted({k for it in rows for k in it})
     lines = [",".join(keys)]
-    for it in report["items"]:
+    for it in rows:
         row = []
         for k in keys:
             v = it.get(k, "")
@@ -320,15 +296,24 @@ def _render_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def _render_text(report):
-    lines = ["%s  p=%d f=%d e=%d" % (report["command"], report["context"]["p"],
-                                     report["context"]["f"], report["context"]["e"])]
-    for it in report["items"]:
-        status = {True: "ok", False: "FAIL"}.get(it.get("ok"), "-")
-        lines.append("  [%s] %s" % (status, it["key"]))
-    s = report["summary"]
-    lines.append("pass=%d fail=%d" % (s["pass"], s["fail"]))
-    return "\n".join(lines) + "\n"
+def _render_text(report, rows):
+    ctx, s = report["context"], report["summary"]
+    return "\n".join(["%s  p=%d f=%d e=%d" % (report["command"], ctx["p"], ctx["f"], ctx["e"]),
+                      *rows, "pass=%d fail=%d" % (s["pass"], s["fail"]), ""])
+
+
+def _render_json(report, rows):
+    """_json(report, "") + "\n", with report's items given as rows already
+    rendered at their indentation; the whole text is one join of the rows."""
+    if not rows:
+        return _json(dict(report, items=[]), "") + "\n"
+    fields = sorted(report)
+    at = fields.index("items")
+    field = lambda key: "\n  %s: %s" % (_json_str(key), _json(report[key], "  "))
+    rows[0] = "{%s\n  \"items\": [\n    %s" % ("".join(field(k) + "," for k in fields[:at]),
+                                               rows[0])
+    rows[-1] += "\n  ]%s\n}\n" % "".join("," + field(k) for k in fields[at + 1:])
+    return ",\n    ".join(rows)
 
 
 def _json(obj, pad):
@@ -362,12 +347,33 @@ def _json(obj, pad):
     raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
+# format -> (rendering of one row, renderer of the report from its sorted rows);
+# CSV keeps its rows, because its header is the union of their keys
+_FORMATS = {
+    "json": (lambda it: _json(it, "    "), _render_json),
+    "text": (lambda it: "  [%s] %s" % ({True: "ok", False: "FAIL"}.get(it.get("ok"), "-"),
+                                       it["key"]), _render_text),
+    "csv": (lambda it: it, _render_csv),
+}
+
+
 def render(report, fmt):
-    if fmt == "json":
-        return _json(report, "") + "\n"
-    if fmt == "csv":
-        return _render_csv(report)
-    return _render_text(report)
+    """The text of report in fmt, with report["items"] (any iterable of rows)
+    sorted by key, and report["summary"] set from those rows.
+
+    Each row is rendered as soon as it arrives and then dropped (CSV keeps
+    it), so only (key, rendered row) pairs are held until the one sort by key.
+    """
+    render_row, render_report = _FORMATS[fmt]
+    pairs, fails = [], 0
+    for it in report["items"]:
+        fails += it.get("ok") is False
+        pairs.append((it["key"], render_row(it)))
+    pairs.sort(key=itemgetter(0))
+    rows = [row for _, row in pairs]
+    del pairs   # the keys go before the join
+    report["summary"] = {"pass": len(rows) - fails, "fail": fails, "millis": 0}
+    return render_report(report, rows)
 
 
 def build_parser():
@@ -400,12 +406,16 @@ def run(argv):
     started = time.time()
     try:
         ctx = LocalContext(args.p, args.f, args.e)
-        items = COMMANDS[args.command](ctx, args)
+        report = {
+            "command": args.command,
+            "echo": {"argv": list(argv), "seed": args.seed},
+            "context": {"p": ctx.p, "f": ctx.f, "e": ctx.e},
+            # a generator: its rows are computed while render consumes them
+            "items": COMMANDS[args.command](ctx, args),
+        }
+        text = render(report, args.format)
     except errors.BKError as exc:
         return "error: %s\n" % exc, 2
-    report = _make_report(args.command, ctx, items,
-                          {"argv": list(argv), "seed": args.seed})
-    text = render(report, args.format)
     print("elapsed: %dms" % int(1000 * (time.time() - started)), file=sys.stderr)
     if args.out:
         path = args.out
@@ -413,13 +423,20 @@ def run(argv):
         if outdir and not os.path.isabs(path):
             path = os.path.join(outdir, path)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write(handle, text)
     return text, (0 if report["summary"]["fail"] == 0 else 1)
+
+
+def _write(handle, text):
+    """Write text to a text stream in slices: the stream encodes what it is
+    given at once, so one write would hold a second, encoded report."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        handle.write(text[start:start + _WRITE_SLICE])
 
 
 def main(argv=None):
     text, code = run(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(text)
+    _write(sys.stdout, text)
     return code
 
 

@@ -7,10 +7,11 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from bktame import (LocalContext, all_weights, cli, enumerate_types, intlinalg,
+from bktame import (LocalContext, all_weights, cli, enumerate_types, errors, intlinalg,
                     rankone, shapes)
 from bktame.cli import run
 
@@ -40,6 +41,16 @@ REPORT_SHA256 = {
         "39db8975db4e1808a5c4b9f924e57b00d101974dc96699d57e3ef682229b508f",
     "components -p 3 -f 2":
         "ebe780163bf66b49aa0a24e6c7c8d9fdb7440ad56b54b4468f87900507a489b8",
+    "types -p 3 -f 2":
+        "54f7cda5304f4d3eb09ea9723fd442f2d739ac2810cd134e7fe57422e7552f2d",
+    "ptau -p 3 -f 3":
+        "e1fa2b08e481d8719c857f644c1e02d245a189981b6e90dce87c7ba2d34fdeeb",
+    "oracle -p 3 -f 1 --samples 20 --seed 2 --format text":
+        "29a1d4ab02ef3730aa48c52d8a5b4afbf00baf5e300313e82cbf066411ec049e",
+    "components -p 3 -f 2 --format csv":
+        "bd2d90864327e3e160c2b26d5bd13b3dbeda20c7d01b78f28f21dc6ea9efe23a",
+    "bm -p 3 -f 1 --format text":
+        "341af4d0bebfbf9a12aa557e8f9b8ac6644cfc41ce4128927ac78a0ccd70ea80",
 }
 
 
@@ -78,6 +89,25 @@ def test_types_ordered_lists_pairs():
 def test_bad_input_exits_2(argv, message):
     text, code = run(argv.split())
     assert code == 2 and message in text
+
+
+def test_error_while_rows_are_produced_exits_2(monkeypatch, tmp_path):
+    # rows are computed while the report renders, so an error in the middle
+    # of a sweep must still give only the error line, with no partial report
+    calls = []
+    oracle_dims = cli.oracle_dims
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise errors.TruncationUnstable("levels 3 and 4 disagree")
+        return oracle_dims(*args)
+
+    monkeypatch.setattr(cli, "oracle_dims", failing)
+    out = tmp_path / "report.json"
+    text, code = run(["oracle", "-p", "3", "-f", "1", "--samples", "20", "--out", str(out)])
+    assert (text, code) == ("error: levels 3 and 4 disagree\n", 2)
+    assert len(calls) == 5 and not out.exists()
 
 
 @pytest.mark.parametrize("argv", sorted(REPORT_SHA256),
@@ -148,10 +178,48 @@ def test_json_render_matches_json_dumps():
         assert cli._json(obj, "") == reference(obj)
     report, _ = run_json(["types", "-p", "3", "-f", "1"])
     assert cli.render(report, "json") == reference(report) + "\n"
+    report["items"] = iter(())
+    assert cli.render(report, "json") == reference(dict(report, items=[])) + "\n"
     field_elem = LocalContext(3, 1, 1).coefficient_field("ps").one()
     for bad in (1.5, [0.0], {"x": {1, 2}}, {1, 2}, field_elem, {"m": [field_elem]}, {1: 2}):
         with pytest.raises(TypeError):
             cli._json(bad, "")
+
+
+@pytest.mark.parametrize("argv", ["types -p 3 -f 2", "ptau -p 3 -f 2", "weights -p 3 -f 2",
+                                  "components -p 3 -f 2", "oracle -p 3 -f 1 --samples 20",
+                                  "bm -p 3 -f 1"],
+                         ids=lambda argv: argv.split()[0])
+def test_every_command_renders_sorted_rows_in_json_and_text(argv):
+    text, code = run(argv.split())
+    assert code == 0
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    items = report["items"]
+    keys = [it["key"] for it in items]
+    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
+    summary = report["summary"]
+    assert summary["pass"] + summary["fail"] == len(items)
+    lines, code2 = run(argv.split() + ["--format", "text"])
+    assert code2 == code
+    lines = lines.split("\n")
+    status = {True: "ok", False: "FAIL"}
+    assert lines[1:-2] == ["  [%s] %s" % (status.get(it.get("ok"), "-"), it["key"])
+                           for it in items]
+    assert lines[-2:] == ["pass=%d fail=%d" % (summary["pass"], summary["fail"]), ""]
+
+
+def test_rendering_holds_no_item_tree():
+    # rows are rendered as they arrive, so the peak is the rendered rows
+    # plus the one joined text, not every row dict alongside copies of it
+    tracemalloc.start()
+    try:
+        text, code = run(["ptau", "-p", "3", "-f", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3 * len(text)
 
 
 def test_ptau_report():
@@ -404,3 +472,14 @@ def test_out_file_and_env_dir(tmp_path, monkeypatch):
     assert code == 0
     on_disk = (tmp_path / "report.json").read_text(encoding="utf-8")
     assert on_disk == text
+
+
+def test_report_over_one_write_slice_is_written_whole(tmp_path, capsys):
+    # reports are written in 1 MiB slices; this one is 1.4 MiB
+    argv = ["ptau", "-p", "3", "-f", "3", "--out", str(tmp_path / "report.json")]
+    text, code = run(argv)
+    assert code == 0 and len(text) > 1 << 20
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == text
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == text
