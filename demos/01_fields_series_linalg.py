@@ -1,8 +1,10 @@
 """Tour of the arithmetic layer: deterministic small finite fields,
 Frobenius, index arithmetic, and exact rank and kernel computations."""
 
+import itertools
+
 from bktame import build_field
-from bktame.gfarith import gauss_rank, nullspace_basis
+from bktame.gfarith import gauss_rank
 
 # Fields are pinned to the lexicographically smallest monic irreducible
 # modulus, so GF(9) is always F_3[x]/(x^2 + 1).
@@ -34,17 +36,26 @@ rank = gauss_rank([list(r) for r in rows], F3)
 print("\nrank/kernel/cokernel of a 2x3 map over GF(3):",
       (rank, 3 - rank, 2 - rank))
 
-# A kernel basis, as index lists; each vector is checked against the rows.
-basis = nullspace_basis(rows, 3, F3)
-print("kernel basis over GF(3):", basis)
-for vec in basis:
-    for row in rows:
+
+def kernel(F, rows, ncols):
+    """Every vector of F^ncols that the rows send to zero, by listing F^ncols."""
+    def dot(row, x):
         total = 0
-        for a, b in zip(row, vec):
-            total = F3.add(total, F3.mul(a, b))
-        assert total == 0
+        for a, b in zip(row, x):
+            total = F.add(total, F.mul(a, b))
+        return total
+    return [x for x in itertools.product(range(F.order), repeat=ncols)
+            if all(dot(row, x) == 0 for row in rows)]
+
+
+# The kernel dimension is the column count minus the rank: listing every
+# vector confirms |ker| = 3^(3 - rank).
+ker = kernel(F3, rows, 3)
+print("kernel over GF(3):", ker)
+assert len(ker) == 3 ** (3 - rank)
 
 # The same over GF(9): the rows (1, g) and (g, g^2) are proportional.
 rows9 = [[1, g], [g, F9.mul(g, g)]]
-print("kernel basis of [[1, g], [g, g^2]] over GF(9):",
-      nullspace_basis(rows9, 2, F9))
+rank9 = gauss_rank([list(r) for r in rows9], F9)
+print("rank and kernel dimension of [[1, g], [g, g^2]] over GF(9):", (rank9, 2 - rank9))
+assert len(kernel(F9, rows9, 2)) == 9 ** (2 - rank9)

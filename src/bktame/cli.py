@@ -339,10 +339,10 @@ def _json(obj, pad):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(x) is int for x in obj):
-            parts = map(int.__repr__, obj)
-        else:
-            parts = [_json(x, inner) for x in obj]
+        parts = []
+        for x in obj:
+            leaf = _JSON_LEAVES.get(type(x))
+            parts.append(leaf(x) if leaf else _json(x, inner))
         return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(parts), pad)
     raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 

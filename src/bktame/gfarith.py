@@ -165,7 +165,9 @@ class FieldSpec:
     def mul(self, a, b):
         """Index of the product of indices a and b."""
         if self._log is None:
-            return self._raw_mul(a, b)
+            # untabled: a product with one, as when a pair's oracle system is
+            # divided by m.a[0] = 1, needs no polynomial arithmetic
+            return a * b if a == 1 or b == 1 else self._raw_mul(a, b)
         if not a or not b:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
@@ -177,6 +179,8 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         if self._log is not None:
             return self._exp[-self._log[a] % (self.order - 1)]
+        if a == 1:
+            return 1
         p = self.p
         a, b = _ptrim(_digits(a, p, self.m)), self.modulus
         s0, s1 = (1,), ()
@@ -326,25 +330,3 @@ def gauss_rank(rows, field):
             break
     return rank
 
-
-def nullspace_basis(rows, ncols, field):
-    """Basis of the kernel of the matrix given as index lists over field;
-    each basis vector is an index list of length ncols."""
-    work = [list(r) for r in rows]
-    rank = gauss_rank(work, field)
-    work = work[:rank]
-    pivots = []
-    for r in range(rank):
-        for c in range(ncols):
-            if work[r][c]:
-                pivots.append(c)
-                break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [0] * ncols
-        vec[fcol] = 1
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = field.neg(work[r][fcol])
-        basis.append(vec)
-    return basis

@@ -16,9 +16,8 @@ from functools import cached_property, lru_cache
 
 from .errors import (InvalidShape, NoNonzeroMap, RangeError, TruncationUnstable,
                      check)
-from .gfarith import gauss_rank, nullspace_basis
-from .rankone import (_same_frame, hom_dim, same_generic_fibre,
-                      twist_conjugate, validate)
+from .gfarith import gauss_rank
+from .rankone import _alpha, _same_frame, hom_dim, twist_conjugate, validate
 from .tametypes import CUSPIDAL, TameType, gamma_digits
 
 
@@ -244,9 +243,9 @@ def _oracle_system(m, n):
 def _complex_matrix(system, level):
     """The truncated differential of the explicit two-term complex.
 
-    Returns (columns, col_keys, out_dim): column vectors, as {slot: field
-    element index}, on the monomial basis of the degree-constrained
-    target truncated at v^level, plus (index, degree) keys of the domain
+    Returns (rows, keys): dense rows of field-element indices, one per
+    monomial of the degree-constrained target truncated at v^level, and
+    the (index, degree) key of each column, a monomial of the domain
     basis.  v = u^{p^{f'}-1}.  Reads only the system (_oracle_system).
     """
     ctx, kind, mr, nr, in_cls, ma, na = system
@@ -258,44 +257,37 @@ def _complex_matrix(system, level):
         out_cls = (mr[i] + in_cls[i]) % ekk
         for k in range(level):
             out_slot[(i, out_cls + k * ekk)] = i * level + k
-    cols = []
-    keys = []
-    for i in range(f):
-        for k in range(level):
-            deg = in_cls[i] + k * ekk
-            col = {}
-            d1 = mr[i] + deg
-            slot = out_slot.get((i, d1))
-            if slot is not None:
-                col[slot] = field.add(col.get(slot, 0), ma[i], -1)
-            j = (i + 1) % f
-            d2 = nr[j] + ctx.p * deg
-            slot = out_slot.get((j, d2))
-            if slot is not None:
-                col[slot] = field.add(col.get(slot, 0), na[j])
-            cols.append(col)
-            keys.append((i, deg))
-    return cols, keys, f * level
+    keys = [(i, in_cls[i] + k * ekk) for i in range(f) for k in range(level)]
+    rows = [[0] * len(keys) for _ in range(f * level)]
+    for col, (i, deg) in enumerate(keys):
+        slot = out_slot.get((i, mr[i] + deg))
+        if slot is not None:
+            rows[slot][col] = field.add(rows[slot][col], ma[i], -1)
+        j = (i + 1) % f
+        slot = out_slot.get((j, nr[j] + ctx.p * deg))
+        if slot is not None:
+            rows[slot][col] = field.add(rows[slot][col], na[j])
+    return rows, keys
+
+
+def _nullity(rows, cols, field):
+    """Dimension of the kernel of the matrix restricted to the columns cols."""
+    return len(cols) - gauss_rank([[row[c] for c in cols] for row in rows], field)
 
 
 def _dims_at_level(system, level):
-    cols, keys, out_dim = _complex_matrix(system, level)
+    rows, keys = _complex_matrix(system, level)
     ctx, kind, mr = system[:3]
     field = ctx.coefficient_field(kind)
-    rows = [[0] * len(cols) for _ in range(out_dim)]
-    for cidx, col in enumerate(cols):
-        for slot, val in col.items():
-            rows[slot][cidx] = val
-    rank_full = gauss_rank([row[:] for row in rows], field)
-    ext = out_dim - rank_full
+    # the matrix is square (f * level on both sides), so the cokernel that
+    # is Ext has the dimension of the kernel
+    ext = _nullity(rows, range(len(keys)), field)
     # Hom is the kernel after quotienting the domain by the preimage of
     # v^level under the Frobenius-precomposition map: keep only columns
     # whose monomial survives multiplication by u^{r_i}.
     bound = level * ctx.ekk(kind)
     keep = [idx for idx, (i, deg) in enumerate(keys) if mr[i] + deg < bound]
-    sub = [[row[idx] for idx in keep] for row in rows]
-    hom = len(keep) - gauss_rank(sub, field)
-    return ext, hom
+    return ext, _nullity(rows, keep, field)
 
 
 def oracle_dims(m, n, trunc=None):
@@ -338,27 +330,6 @@ def kext_dim(tau, J, prod_a, prod_b):
     return count
 
 
-class _KextSystem:
-    """A pair, equal to and hashed like every pair whose kExt computation
-    reads the same data: the frame, r and a over one period, and the
-    residues n.c - m.c mod p^{f'} - 1."""
-
-    __slots__ = ("m", "n", "key")
-
-    def __init__(self, m, n):
-        f, ekk = m.ctx.f, m.ekk
-        self.m, self.n = m, n
-        self.key = (m.ctx, m.kind, m.r[:f], n.r[:f],
-                    tuple((n.c[i] - m.c[i]) % ekk for i in range(f)),
-                    tuple(x.idx for x in m.a[:f]), tuple(x.idx for x in n.a[:f]))
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-
 def kext_dim_oracle(m, n):
     """Brute-force kExt dimension via the principal-part solver.
 
@@ -366,47 +337,46 @@ def kext_dim_oracle(m, n):
     congruence class) on which the two sides of the Frobenius commutation
     agree modulo integral series, then corrects by the difference between
     Galois-level Hom and the module-level Hom of the truncated complex.
-    Each distinct system is solved once (_kext_solve).
+    Each distinct system (_oracle_system) is solved once (_kext_solve).
     """
     _same_frame(m, n)
-    return _kext_solve(_KextSystem(m, n))
+    return _kext_solve(_oracle_system(m, n))
 
 
 @lru_cache(maxsize=4096)   # oracle -p 7 -f 2 --samples 1 meets 384 systems
 def _kext_solve(system):
-    m, n = system.m, system.n
-    f, p, ekk, ep = m.ctx.f, m.ctx.p, m.ekk, m.eprime
-    field = m.field
-    unknowns = []   # (index i, positive pole order D) for mu_i = t u^{-D}
-    for i in range(f):
-        res = (n.c[i] - m.c[i]) % ekk
-        start = res if res else ekk
-        for D in range(start, ep + 1, ekk):
-            unknowns.append((i, D))
-    pos = {key: idx for idx, key in enumerate(unknowns)}
+    ctx, kind, mr, nr, residues, ma, na = system
+    f, p, ekk, ep = ctx.f, ctx.p, ctx.ekk(kind), ctx.eprime(kind)
+    field = ctx.coefficient_field(kind)
+    # (index j, pole order D > 0 in the class of n.c_j - m.c_j) for mu_j = t u^{-D}
+    unknowns = [(j, D) for j in range(f)
+                for D in range(-residues[j] % ekk or ekk, ep + 1, ekk)]
     rows = {}   # (index i, negative degree) -> row of field-element indices
-
-    def add(i, deg, key, val):
-        if deg >= 0:
-            return
-        row = rows.setdefault((i, deg), [0] * len(unknowns))
-        row[pos[key]] = field.add(row[pos[key]], val)
-
-    for i in range(f):
-        for (j, D) in unknowns:
-            if j == i:
-                add(i, m.r[i] - D, (j, D), m.a[i].idx)
-            if j == (i - 1) % f:
-                add(i, n.r[i] - p * D, (j, D), field.neg(n.a[i].idx))
-    basis = nullspace_basis(list(rows.values()), len(unknowns), field)
-    # solutions must respect the sharper pole bound floor(e'/(p-1))
+    for col, (j, D) in enumerate(unknowns):
+        i = (j + 1) % f
+        for key, val in (((j, mr[j] - D), ma[j]), ((i, nr[i] - p * D), field.neg(na[i]))):
+            if key[1] < 0:
+                row = rows.setdefault(key, [0] * len(unknowns))
+                row[col] = field.add(row[col], val)
+    rows = list(rows.values())
+    hom_quot = _nullity(rows, range(len(unknowns)), field)
+    # solutions must respect the sharper pole bound floor(e'/(p-1)): the
+    # kernel lies where the columns past it vanish iff dropping them keeps
+    # its dimension
     bound = ep // (p - 1)
-    check(all(not val or unknowns[idx][1] <= bound
-              for vec in basis for idx, val in enumerate(vec)),
+    keep = [idx for idx, (_, D) in enumerate(unknowns) if D <= bound]
+    check(_nullity(rows, keep, field) == hom_quot,
           "principal-part solution breaks the pole bound")
-    hom_quot = len(basis)
-    hom_galois = 1 if same_generic_fibre(m, n) else 0
-    return hom_quot - (hom_galois - oracle_dims(m, n)[1])
+    # Galois-level Hom: equal tame exponents c_0 - alpha_0 and equal
+    # unramified products; dividing both a vectors by m.a[0] keeps both tests
+    fp = ctx.fprime(kind)
+    alpha_m = _alpha(p, fp, ekk, mr * (fp // f))
+    alpha_n = _alpha(p, fp, ekk, nr * (fp // f))
+    prod_m = prod_n = 1
+    for i in range(f):
+        prod_m, prod_n = field.mul(prod_m, ma[i]), field.mul(prod_n, na[i])
+    hom_galois = (residues[0] - alpha_m[0] + alpha_n[0]) % ekk == 0 and prod_m == prod_n
+    return hom_quot - (int(hom_galois) - _oracle_solve(system, _default_trunc(ctx))[1])
 
 
 def family_dim(tau, refined):

@@ -147,6 +147,35 @@ def test_no_module_uses_assert():
     assert not found, "assert statements vanish under python -O: %s" % found
 
 
+# The oracles' solves read only the system and row-reduce it; they name no
+# closed form and no Galois-character invariant of the modules.  _alpha is
+# the one invariant they share with the closed forms, in the Galois-level
+# Hom of _kext_solve, until a brute-force solve replaces it (ROADMAP item 4).
+_ORACLE_SOLVES = ("_complex_matrix", "_dims_at_level", "_nullity", "_oracle_solve",
+                  "_kext_solve")
+_CLOSED_FORMS = ("hom_dim", "ext_dim", "_ext_beyond_hom", "kext_dim", "kext_count",
+                 "gamma_star", "same_generic_fibre", "galois_char", "galois_character",
+                 "alpha_vector")
+
+
+def test_oracle_solves_name_no_closed_form():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "bktame",
+                        "shapes.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    solves = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in _ORACLE_SOLVES}
+    assert sorted(solves) == sorted(_ORACLE_SOLVES)
+    found = []
+    for name, node in sorted(solves.items()):
+        for sub in ast.walk(node):
+            ident = (sub.id if isinstance(sub, ast.Name)
+                     else sub.attr if isinstance(sub, ast.Attribute) else None)
+            if ident in _CLOSED_FORMS:
+                found.append("%s:%d %s" % (name, sub.lineno, ident))
+    assert not found, "an oracle solve names a closed form: %s" % found
+
+
 def _random_json(rng, depth):
     """A seeded nested value of the kinds reports hold, with awkward strings."""
     texts = ["", "plain", 'quote " in', "back\\slash", "tab\tnl\ncr\r", "\x00\x1f\x7f",
@@ -295,22 +324,14 @@ def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):
     assert len(alphas) <= 3 * n_shapes + 4
 
 
-def test_oracle_kext_sweep_solves_each_distinct_system_once(monkeypatch):
-    solves = []
-    nullspace_basis = shapes.nullspace_basis
-
-    def counting_nullspace(*args):
-        solves.append(args)
-        return nullspace_basis(*args)
-
-    monkeypatch.setattr(shapes, "nullspace_basis", counting_nullspace)
+def test_oracle_kext_sweep_solves_each_distinct_system_once():
     shapes._oracle_solve.cache_clear()
     shapes._kext_solve.cache_clear()
     rankone._alpha.cache_clear()
     report, code = run_json(["oracle", "-p", "3", "-f", "2", "--samples", "1"])
     assert code == 0
     kext_rows = [it for it in report["items"] if it["key"].startswith("kext|")]
-    # rebuild each row's pair and the data its principal-part system reads
+    # rebuild each row's pair and the system its solve reads
     ctx = LocalContext(3, 2, 1)
     types = {tau.label(): tau for tau in enumerate_types(ctx, canonical=True)}
     systems = set()
@@ -320,11 +341,8 @@ def test_oracle_kext_sweep_solves_each_distinct_system_once(monkeypatch):
         if it["products"] == "ne":
             gen = ctx.coefficient_field(tau.kind).multiplicative_generator()
             n = rankone.validate(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
-        f, ekk = ctx.f, m.ekk
-        systems.add((tau.kind, m.r[:f], n.r[:f],
-                     tuple((n.c[i] - m.c[i]) % ekk for i in range(f)),
-                     tuple(x.idx for x in m.a[:f]), tuple(x.idx for x in n.a[:f])))
-    assert len(solves) == len(systems) == 64
+        systems.add(shapes._oracle_system(m, n))
+    assert shapes._kext_solve.cache_info().misses == len(systems) == 64
     assert len(kext_rows) == 512
 
 

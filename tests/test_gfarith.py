@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from bktame import (CUSPIDAL, PS, FieldElem, FieldSpec, LocalContext, NotPrime,
                     DegreeTooLarge, RangeError, build_field,
                     ext_dim, hom_dim, oracle_dims, random_module)
-from bktame.gfarith import _pdivmod, gauss_rank, nullspace_basis
+from bktame.gfarith import _pdivmod, gauss_rank
 from bktame.rng import SplitMix64
+from bktame.shapes import _nullity
 
 
 def test_prime_field_modulus_is_x():
@@ -230,12 +231,8 @@ def test_smallest_ext_instance_cokernel():
     m, n = build_MN(tau, maximal_refined(tau, {0}))
     F = m.field
     for level in (2, 3):
-        cols, _, out_dim = _complex_matrix(_oracle_system(m, n), level)
-        rows = [[0] * len(cols) for _ in range(out_dim)]
-        for j, col in enumerate(cols):
-            for slot, val in col.items():
-                rows[slot][j] = val
-        assert out_dim - gauss_rank(rows, F) == 2
+        rows, _ = _complex_matrix(_oracle_system(m, n), level)
+        assert len(rows) - gauss_rank(rows, F) == 2
 
 
 def test_rank_invariant_under_seeded_shuffle():
@@ -267,26 +264,47 @@ def _brute_force_kernel_size(F, rows, ncols, values):
 
 @pytest.mark.parametrize("p,m,ncols", [(3, 1, 5), (3, 2, 3), (7, 2, 2), (7, 6, 3)])
 def test_row_reduction_matches_brute_force_kernel(p, m, ncols):
-    # Index-list gauss_rank / nullspace_basis against |ker| = q^(n - rank).
-    # Where F^n is too large to list (GF(7^6) has no tables and 7^18 vectors)
-    # the counted matrices have prime-subfield entries (indices 0..p-1) and
-    # the count runs over GF(p)^n: rank does not change under field extension.
+    # _nullity on random column subsets against |ker| = q^(nullity).  Where
+    # F^n is too large to list (GF(7^6) has no tables and 7^18 vectors) the
+    # matrices have prime-subfield entries (indices 0..p-1) and the count
+    # runs over GF(p)^n: rank does not change under field extension.
     F = build_field(p, m)
-    small = F.order ** ncols <= 5000
-    values = range(F.order) if small else range(p)
+    values = range(F.order) if F.order ** ncols <= 5000 else range(p)
+    assert _nullity([], range(ncols), F) == ncols
+    assert _nullity([[1] * ncols], [], F) == 0
     rng = SplitMix64(1000 * p + m)
-    for _ in range(8):
-        nrows = 1 + rng.below(ncols + 1)
-        for entries, counted in ((values, True), (range(F.order), False)):
-            rows = [[rng.choice(entries) if rng.below(3) else 0 for _ in range(ncols)]
-                    for _ in range(nrows)]
-            # a scaled copy of the first row makes rank deficiency common
-            rows.append([F.mul(rng.choice(entries), x) for x in rows[0]])
-            rank = gauss_rank([list(r) for r in rows], F)
-            basis = nullspace_basis(rows, ncols, F)
-            assert len(basis) == ncols - rank
-            for vec in basis:
-                assert all(_dot(F, row, vec) == 0 for row in rows)
-            if counted:
-                assert (_brute_force_kernel_size(F, rows, ncols, values)
-                        == len(values) ** (ncols - rank))
+    for _ in range(12):
+        rows = [[rng.choice(values) if rng.below(3) else 0 for _ in range(ncols)]
+                for _ in range(rng.below(ncols + 2))]
+        cols = [c for c in range(ncols) if rng.below(3)]
+        nullity = _nullity(rows, cols, F)
+        sub = [[row[c] for c in cols] for row in rows]
+        assert (_brute_force_kernel_size(F, sub, len(cols), values)
+                == len(values) ** nullity)
+        if rows:
+            # a scaled copy of a row, with entries from the whole field,
+            # adds no rank
+            scale = 1 + rng.below(F.order - 1)
+            scaled = rows + [[F.mul(scale, x) for x in rows[0]]]
+            assert _nullity(scaled, cols, F) == nullity
+
+
+@pytest.mark.parametrize("p,m,ncols", [(3, 1, 4), (3, 2, 3)])
+def test_kernel_vanishes_off_kept_columns_iff_nullity_is_kept(p, m, ncols):
+    # the pole-bound check of the kExt oracle: every kernel vector vanishes
+    # on the dropped columns exactly when the nullity over the kept columns
+    # equals the full nullity
+    F = build_field(p, m)
+    vectors = list(itertools.product(range(F.order), repeat=ncols))
+    rng = SplitMix64(77 * p + m)
+    seen = set()
+    for _ in range(40):
+        rows = [[rng.below(F.order) if rng.below(2) else 0 for _ in range(ncols)]
+                for _ in range(rng.below(ncols))]
+        keep = [c for c in range(ncols) if rng.below(3)]
+        kernel = [x for x in vectors if all(_dot(F, row, x) == 0 for row in rows)]
+        vanishes = all(x[c] == 0 for x in kernel for c in range(ncols) if c not in keep)
+        assert vanishes == (_nullity(rows, keep, F) == _nullity(rows, range(ncols), F))
+        seen.add((vanishes, len(keep) < ncols))
+    # both answers occur, and some kernel vanishes on columns it really drops
+    assert seen >= {(True, True), (False, True)}

@@ -261,9 +261,28 @@ def test_kext_oracle_takes_hom_from_the_truncated_complex(monkeypatch):
     assert checked and not inside
 
 
+def _raw_system(m, n):
+    """The pair's _oracle_system without the normalisation by m.a[0]: its
+    own coefficient indices and residues."""
+    f, ekk = m.ctx.f, m.ekk
+    return (m.ctx, m.kind, m.r[:f], n.r[:f],
+            tuple((m.c[i] - n.c[i]) % ekk for i in range(f)),
+            tuple(x.idx for x in m.a[:f]), tuple(x.idx for x in n.a[:f]))
+
+
+def _untabled_pairs():
+    ctx = LocalContext(7, 3, 1)
+    rng = SplitMix64(76)
+    return [(random_module(ctx, CUSPIDAL, rng), random_module(ctx, CUSPIDAL, rng))
+            for _ in range(20)]
+
+
 def test_kext_and_alpha_memos_match_a_fresh_computation():
     # the memo keys hold all the data the computations read: every value
-    # from the warm memos equals one computed with the memos cleared
+    # from the warm memos equals one computed with the memos cleared, the
+    # kExt value from the pair's own coefficients and residues, not
+    # normalised by m.a[0].  Every kExt-sweep pair has a = 1, so only the
+    # random pairs exercise the normalisation.
     pairs = []
     for p in (3, 5):
         for f in (1, 2):
@@ -275,6 +294,7 @@ def test_kext_and_alpha_memos_match_a_fresh_computation():
                     for _ in range(100):
                         pairs.append((random_module(ctx, kind, rng),
                                       random_module(ctx, kind, rng)))
+    pairs.extend(_untabled_pairs())
     _clear_memos()
     memo = [(kext_dim_oracle(m, n), rankone.alpha(m), rankone.alpha(n)) for m, n in pairs]
     assert shapes._kext_solve.cache_info().hits > 0
@@ -284,15 +304,8 @@ def test_kext_and_alpha_memos_match_a_fresh_computation():
         _clear_memos()
         return fn(*args)
 
-    assert memo == [(fresh(kext_dim_oracle, m, n), fresh(rankone.alpha, m),
+    assert memo == [(fresh(shapes._kext_solve, _raw_system(m, n)), fresh(rankone.alpha, m),
                      fresh(rankone.alpha, n)) for m, n in pairs]
-
-
-def _untabled_pairs():
-    ctx = LocalContext(7, 3, 1)
-    rng = SplitMix64(76)
-    return [(random_module(ctx, CUSPIDAL, rng), random_module(ctx, CUSPIDAL, rng))
-            for _ in range(20)]
 
 
 def test_oracle_memo_matches_a_fresh_solve_of_the_raw_pair():
@@ -316,12 +329,8 @@ def test_oracle_memo_matches_a_fresh_solve_of_the_raw_pair():
     assert info.hits > 10 * info.misses
 
     def fresh(m, n):
-        f, ekk = m.ctx.f, m.ekk
-        raw = (m.ctx, m.kind, m.r[:f], n.r[:f],
-               tuple((m.c[i] - n.c[i]) % ekk for i in range(f)),
-               tuple(x.idx for x in m.a[:f]), tuple(x.idx for x in n.a[:f]))
         _clear_memos()
-        return shapes._oracle_solve(raw, shapes._default_trunc(m.ctx))
+        return shapes._oracle_solve(_raw_system(m, n), shapes._default_trunc(m.ctx))
 
     assert memo == [fresh(m, n) for m, n in pairs]
 
@@ -345,10 +354,11 @@ def test_differential_preserves_congruence_classes():
     for tau in (TAU_PS, TAU_C):
         for shape in shapes_for(tau):
             m, n = build_MN(tau, maximal_refined(tau, shape))
-            cols, keys, _ = _complex_matrix(shapes._oracle_system(m, n), 4)
+            rows, keys = _complex_matrix(shapes._oracle_system(m, n), 4)
             ekk = m.ekk
             out_cls = [(m.r[i] + m.c[i] - n.c[i]) % ekk for i in range(m.ctx.f)]
-            for col, (i, deg) in zip(cols, keys):
+            assert len(keys) == len(rows[0])
+            for i, deg in keys:
                 assert (m.r[i] + deg) % ekk == out_cls[i]
 
 
