@@ -185,18 +185,20 @@ def cmd_oracle(ctx, args):
         if tau.is_scalar:
             continue
         field = ctx.coefficient_field(tau.kind)
-        gen = field.multiplicative_generator()
+        one, gen = field.one(), field.multiplicative_generator()
         errors.check(gen and gen.owner == field, "twist coefficient is not a unit")
+        label = tau.label()
         for shape in shapes_for(tau):
             m, n = build_MN(tau, maximal_refined(tau, shape))
             # n with every coefficient gen: its r and c are already validated
             n_twist = RankOneBK(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
-            for tag, prod_b, nn in (("eq", field.one(), n), ("ne", gen, n_twist)):
-                kv = kext_dim(tau, shape, field.one(), prod_b)
+            prefix = "kext|%s|J=%s|" % (label, _shape_str(shape.J))
+            for tag, prod_b, nn in (("eq", one, n), ("ne", gen, n_twist)):
+                kv = kext_dim(tau, shape, one, prod_b)
                 ko = kext_dim_oracle(m, nn)
                 yield {
-                    "key": "kext|%s|J=%s|%s" % (tau.label(), _shape_str(shape.J), tag),
-                    "type": tau.label(),
+                    "key": prefix + tag,
+                    "type": label,
                     "J": sorted(shape.J),
                     "products": tag,
                     "kext": kv, "kext_oracle": ko,

@@ -304,7 +304,11 @@ class FieldElem:
 
 
 def gauss_rank(rows, field):
-    """Row-reduce a list of index lists over field in place; returns the rank."""
+    """Row-reduce a list of index lists over field in place; returns the rank.
+
+    Columns are eliminated left to right, so rows[:rank] end as the reduced
+    pivot rows in the order of their pivot columns, and the pivots among
+    the first k columns number the rank of those k columns."""
     if not rows:
         return 0
     mul, add = field.mul, field.add

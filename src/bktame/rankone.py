@@ -80,11 +80,10 @@ def validate(ctx, kind, r, a, c):
     Requires: entries r_i in [0, e']; a_i nonzero in GF(p^{f'}), an int
     a_i naming a prime-field element in [0, p); c_i residues mod
     p^{f'} - 1; all three vectors periodic with period dividing f; and
-    p*c_{i-1} = c_i + r_i mod p^{f'} - 1 for every i.
+    p*c_{i-1} = c_i + r_i mod p^{f'} - 1 for every i.  Coerces and checks
+    the coefficients here; _module makes the integer checks.
     """
     fp = ctx.fprime(kind)
-    ekk = ctx.ekk(kind)
-    ep = ctx.eprime(kind)
     field = ctx.coefficient_field(kind)
     r = tuple(int(x) for x in r)
     c = tuple(int(x) for x in c)
@@ -96,15 +95,23 @@ def validate(ctx, kind, r, a, c):
             raise ContextMismatch("coefficients must lie in %r" % field)
         if not x:
             raise ZeroCoefficient("coefficients must be nonzero")
-    if any(not 0 <= x <= ep for x in r):
+    return _module(ctx, kind, r, a, c)
+
+
+def _module(ctx, kind, r, a, c):
+    """The module, after validate's integer checks: r and c ranges,
+    periodicity of r, c and a, and the congruence.  Takes int tuples of
+    length f' and nonzero coefficients of the coefficient field, as the
+    module builders make them."""
+    fp, f = ctx.fprime(kind), ctx.f
+    ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
+    if min(r) < 0 or max(r) > ep:
         raise RangeError("r entries must lie in [0, %d]" % ep)
-    if any(not 0 <= x < ekk for x in c):
+    if min(c) < 0 or max(c) >= ekk:
         raise RangeError("c entries must be residues mod %d" % ekk)
-    f = ctx.f
-    for i in range(fp):
-        j = (i + f) % fp
-        if r[i] != r[j] or c[i] != c[j] or a[i] != a[j]:
-            raise PeriodError("vectors must be periodic with period dividing f")
+    # period dividing f: v[i + f] == v[i] for every i < f' - f
+    if r[f:] != r[:fp - f] or c[f:] != c[:fp - f] or a[f:] != a[:fp - f]:
+        raise PeriodError("vectors must be periodic with period dividing f")
     for i in range(fp):
         if (ctx.p * c[i - 1] - c[i] - r[i]) % ekk != 0:
             raise CongruenceFailed("p*c[%d] != c[%d] + r[%d] mod %d"
@@ -127,7 +134,7 @@ def random_module(ctx, kind, rng):
     r = tuple(r_half[i % f] for i in range(fp))
     a_half = [FieldElem(field, 1 + rng.below(field.order - 1)) for _ in range(f)]
     a = tuple(a_half[i % f] for i in range(fp))
-    return validate(ctx, kind, r, a, c)
+    return _module(ctx, kind, r, a, c)
 
 
 def exhaustive_modules(ctx, kind):
@@ -142,7 +149,7 @@ def exhaustive_modules(ctx, kind):
         base = (ctx.p * c0 - c0) % ekk
         for r0 in range(base, ep + 1, ekk):
             for a in field.nonzero_elements():
-                mods.append(validate(ctx, kind, (r0,) * fp, (a,) * fp, (c0,) * fp))
+                mods.append(_module(ctx, kind, (r0,) * fp, (a,) * fp, (c0,) * fp))
     return mods
 
 

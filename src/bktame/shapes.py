@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from .errors import (InvalidShape, NoNonzeroMap, RangeError, TruncationUnstable,
                      check)
 from .gfarith import gauss_rank
-from .rankone import _alpha, _same_frame, hom_dim, twist_conjugate, validate
+from .rankone import _alpha, _module, _same_frame, hom_dim, twist_conjugate
 from .tametypes import CUSPIDAL, TameType, gamma_digits
 
 
@@ -179,23 +179,22 @@ def maximal_refined(tau, J):
 def build_MN(tau, refined):
     """The standard pair of the refined shape: descent exponents split by
     J, Frobenius exponents from y, all coefficients one, determinant
-    exponents complementary (r_i + s_i = e')."""
+    exponents complementary (r_i + s_i = e').  Both modules get every
+    integer check (rankone._module); the pair must then carry the type's
+    descent exponents {k_i, k'_i} at every index."""
     shape = refined.shape
-    fp, ekk, ep = tau.fprime, tau.ekk, tau.eprime
+    ctx, kind = tau.ctx, tau.kind
+    f, fp, ekk, ep = ctx.f, ctx.fprime(kind), ctx.ekk(kind), ctx.eprime(kind)
     c, d = shape.cd
-    trans = shape.transitions
-    r = []
-    for i in range(fp):
-        yi = refined.y[i % tau.ctx.f]
-        if i in trans:
-            r.append(ekk * yi - (c[i] - d[i]) % ekk)
-        else:
-            r.append(ekk * yi)
-    s = tuple(ep - ri for ri in r)
-    ones = (1,) * fp
-    m = validate(tau.ctx, tau.kind, tuple(r), ones, c)
-    n = validate(tau.ctx, tau.kind, s, ones, d)
-    check(all({m.c[i], n.c[i]} == {c[i], d[i]} and m.r[i] + n.r[i] == ep
+    trans, y = shape.transitions, refined.y
+    r = tuple([ekk * y[i % f] - ((c[i] - d[i]) % ekk if i in trans else 0)
+               for i in range(fp)])
+    s = tuple([ep - ri for ri in r])
+    ones = (ctx.coefficient_field(kind).one(),) * fp
+    m = _module(ctx, kind, r, ones, c)
+    n = _module(ctx, kind, s, ones, d)
+    kv, kpv = tau.kvec, tau.kpvec
+    check(all({m.c[i], n.c[i]} == {kv[i], kpv[i]} and m.r[i] + n.r[i] == ep
               for i in range(fp)), "standard pair is not of the type")
     return m, n
 
@@ -270,9 +269,18 @@ def _complex_matrix(system, level):
     return rows, keys
 
 
-def _nullity(rows, cols, field):
-    """Dimension of the kernel of the matrix restricted to the columns cols."""
-    return len(cols) - gauss_rank([[row[c] for c in cols] for row in rows], field)
+def _nullities(rows, ncols, keep, field):
+    """Kernel dimensions of the matrix with ncols columns and of its
+    restriction to the columns keep, from one elimination: with the kept
+    columns first, the pivots among the first len(keep) columns are those
+    of the kept submatrix."""
+    kept = set(keep)
+    order = list(keep) + [col for col in range(ncols) if col not in kept]
+    reduced = [[row[col] for col in order] for row in rows]
+    rank = gauss_rank(reduced, field)
+    lead = len(keep)
+    kept_rank = sum(1 for row in reduced[:rank] if any(row[:lead]))
+    return ncols - rank, lead - kept_rank
 
 
 def _dims_at_level(system, level):
@@ -280,14 +288,13 @@ def _dims_at_level(system, level):
     ctx, kind, mr = system[:3]
     field = ctx.coefficient_field(kind)
     # the matrix is square (f * level on both sides), so the cokernel that
-    # is Ext has the dimension of the kernel
-    ext = _nullity(rows, range(len(keys)), field)
-    # Hom is the kernel after quotienting the domain by the preimage of
-    # v^level under the Frobenius-precomposition map: keep only columns
-    # whose monomial survives multiplication by u^{r_i}.
+    # is Ext has the dimension of the kernel.  Hom is the kernel after
+    # quotienting the domain by the preimage of v^level under the
+    # Frobenius-precomposition map: keep only columns whose monomial
+    # survives multiplication by u^{r_i}.
     bound = level * ctx.ekk(kind)
     keep = [idx for idx, (i, deg) in enumerate(keys) if mr[i] + deg < bound]
-    return ext, _nullity(rows, keep, field)
+    return _nullities(rows, len(keys), keep, field)
 
 
 def oracle_dims(m, n, trunc=None):
@@ -358,15 +365,13 @@ def _kext_solve(system):
             if key[1] < 0:
                 row = rows.setdefault(key, [0] * len(unknowns))
                 row[col] = field.add(row[col], val)
-    rows = list(rows.values())
-    hom_quot = _nullity(rows, range(len(unknowns)), field)
     # solutions must respect the sharper pole bound floor(e'/(p-1)): the
     # kernel lies where the columns past it vanish iff dropping them keeps
     # its dimension
     bound = ep // (p - 1)
     keep = [idx for idx, (_, D) in enumerate(unknowns) if D <= bound]
-    check(_nullity(rows, keep, field) == hom_quot,
-          "principal-part solution breaks the pole bound")
+    hom_quot, kept = _nullities(list(rows.values()), len(unknowns), keep, field)
+    check(kept == hom_quot, "principal-part solution breaks the pole bound")
     # Galois-level Hom: equal tame exponents c_0 - alpha_0 and equal
     # unramified products; dividing both a vectors by m.a[0] keeps both tests
     fp = ctx.fprime(kind)

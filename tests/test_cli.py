@@ -151,7 +151,7 @@ def test_no_module_uses_assert():
 # closed form and no Galois-character invariant of the modules.  _alpha is
 # the one invariant they share with the closed forms, in the Galois-level
 # Hom of _kext_solve, until a brute-force solve replaces it (ROADMAP item 4).
-_ORACLE_SOLVES = ("_complex_matrix", "_dims_at_level", "_nullity", "_oracle_solve",
+_ORACLE_SOLVES = ("_complex_matrix", "_dims_at_level", "_nullities", "_oracle_solve",
                   "_kext_solve")
 _CLOSED_FORMS = ("hom_dim", "ext_dim", "_ext_beyond_hom", "kext_dim", "kext_count",
                  "gamma_star", "same_generic_fibre", "galois_char", "galois_character",
@@ -388,6 +388,34 @@ def test_oracle_pair_sweep_solves_each_distinct_system_once(monkeypatch):
                      field.mul(n.a[0].idx, unit)))
     # levels L and L + 1 of each distinct system, built once
     assert len(builds) == 2 * len(systems) < 2 * len(pairs)
+
+
+@pytest.mark.parametrize("argv, eliminations", [
+    ("oracle -p 3 -f 1 -e 2 --samples 40 --seed 5", 146),
+    ("oracle -p 7 -f 2 --samples 1", 1156),
+])
+def test_oracle_sweeps_validate_nothing_and_eliminate_once_per_matrix(monkeypatch, argv,
+                                                                     eliminations):
+    # the sweeps build their modules with the integer checks alone, and
+    # each truncated complex or principal-part system is row-reduced once
+    calls = {"validate": 0, "gauss_rank": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (rankone, shapes, cli):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    shapes._oracle_solve.cache_clear()
+    shapes._kext_solve.cache_clear()
+    rankone._alpha.cache_clear()
+    _, code = run(argv.split())
+    assert code == 0
+    assert calls == {"validate": 0, "gauss_rank": eliminations}
 
 
 def test_weights_report_has_dimension_checks():

@@ -9,7 +9,7 @@ from bktame import (CUSPIDAL, PS, FieldElem, FieldSpec, LocalContext, NotPrime,
                     ext_dim, hom_dim, oracle_dims, random_module)
 from bktame.gfarith import _pdivmod, gauss_rank
 from bktame.rng import SplitMix64
-from bktame.shapes import _nullity
+from bktame.shapes import _nullities
 
 
 def test_prime_field_modulus_is_x():
@@ -264,29 +264,44 @@ def _brute_force_kernel_size(F, rows, ncols, values):
 
 @pytest.mark.parametrize("p,m,ncols", [(3, 1, 5), (3, 2, 3), (7, 2, 2), (7, 6, 3)])
 def test_row_reduction_matches_brute_force_kernel(p, m, ncols):
-    # _nullity on random column subsets against |ker| = q^(nullity).  Where
-    # F^n is too large to list (GF(7^6) has no tables and 7^18 vectors) the
-    # matrices have prime-subfield entries (indices 0..p-1) and the count
-    # runs over GF(p)^n: rank does not change under field extension.
+    # both nullities of _nullities, the full matrix and random column
+    # subsets in random order, against |ker| = q^(nullity).  Where F^n is
+    # too large to list (GF(7^6) has no tables and 7^18 vectors) the count
+    # runs over GF(p)^n on prime-subfield entries: rank does not change
+    # under field extension.  The matrix solved last has entries from the
+    # whole field: rows mixed by an invertible matrix and columns scaled by
+    # units, which moves the kernel but keeps both nullities.
     F = build_field(p, m)
     values = range(F.order) if F.order ** ncols <= 5000 else range(p)
-    assert _nullity([], range(ncols), F) == ncols
-    assert _nullity([[1] * ncols], [], F) == 0
     rng = SplitMix64(1000 * p + m)
-    for _ in range(12):
+    unit = lambda: 1 + rng.below(F.order - 1)
+    assert _nullities([], ncols, range(ncols), F) == (ncols, ncols)
+    assert _nullities([], 0, [], F) == _nullities([[], []], 0, [], F) == (0, 0)
+    assert _nullities([[1] * ncols], ncols, [], F) == (ncols - 1, 0)
+    for trial in range(16):
         rows = [[rng.choice(values) if rng.below(3) else 0 for _ in range(ncols)]
                 for _ in range(rng.below(ncols + 2))]
-        cols = [c for c in range(ncols) if rng.below(3)]
-        nullity = _nullity(rows, cols, F)
-        sub = [[row[c] for c in cols] for row in rows]
-        assert (_brute_force_kernel_size(F, sub, len(cols), values)
-                == len(values) ** nullity)
-        if rows:
-            # a scaled copy of a row, with entries from the whole field,
-            # adds no rank
-            scale = 1 + rng.below(F.order - 1)
-            scaled = rows + [[F.mul(scale, x) for x in rows[0]]]
-            assert _nullity(scaled, cols, F) == nullity
+        keep = ([c for c in range(ncols) if rng.below(3)] if trial > 1
+                else list(range(ncols)) if trial else [])
+        rng.shuffle(keep)
+        full, kept = _nullities(rows, ncols, keep, F)
+        sub = [[row[c] for c in keep] for row in rows]
+        assert _brute_force_kernel_size(F, rows, ncols, values) == len(values) ** full
+        assert _brute_force_kernel_size(F, sub, len(keep), values) == len(values) ** kept
+        if not rows:
+            continue
+        mixed = [list(row) for row in rows]
+        for _ in range(2 * len(rows)):
+            i, j = rng.below(len(rows)), rng.below(len(rows))
+            if i != j:
+                lam = rng.below(F.order)
+                mixed[i] = [F.add(a, F.mul(lam, b)) for a, b in zip(mixed[i], mixed[j])]
+        scales = [unit() for _ in range(ncols)]
+        mixed = [[F.mul(x, s) for x, s in zip(row, scales)] for row in mixed]
+        # a scaled copy of a row adds no rank
+        scale = unit()
+        mixed.append([F.mul(scale, x) for x in mixed[0]])
+        assert _nullities(mixed, ncols, keep, F) == (full, kept)
 
 
 @pytest.mark.parametrize("p,m,ncols", [(3, 1, 4), (3, 2, 3)])
@@ -304,7 +319,8 @@ def test_kernel_vanishes_off_kept_columns_iff_nullity_is_kept(p, m, ncols):
         keep = [c for c in range(ncols) if rng.below(3)]
         kernel = [x for x in vectors if all(_dot(F, row, x) == 0 for row in rows)]
         vanishes = all(x[c] == 0 for x in kernel for c in range(ncols) if c not in keep)
-        assert vanishes == (_nullity(rows, keep, F) == _nullity(rows, range(ncols), F))
+        full, kept = _nullities(rows, ncols, keep, F)
+        assert vanishes == (kept == full)
         seen.add((vanishes, len(keep) < ncols))
     # both answers occur, and some kernel vanishes on columns it really drops
     assert seen >= {(True, True), (False, True)}

@@ -30,6 +30,20 @@ def test_validate_error_cases():
         validate(CTX, PS, (2,), (1,), (3,))  # c not reduced mod 2
 
 
+def test_validate_error_types_and_order():
+    gf9 = build_field(3, 2).one()
+    with pytest.raises(ContextMismatch):
+        validate(CTX, PS, (2,), (gf9,), (1,))  # a GF(9) coefficient in GF(3)
+    with pytest.raises(RangeError):
+        validate(CTX, PS, (2, 2), (1,), (1,))  # wrong vector length
+    with pytest.raises(RangeError):
+        validate(CTX, PS, (2, 2), (gf9,), (1,))  # the length is checked first
+    with pytest.raises(PeriodError):
+        validate(CTX, CUSPIDAL, (2, 2), (1, 2), (1, 1))  # a alone is not periodic
+    with pytest.raises(RangeError):
+        validate(CTX, CUSPIDAL, (9, 9), (1, 2), (1, 1))  # r range before periodicity
+
+
 def test_alpha_examples():
     assert alpha(validate(CTX, PS, (2,), (1,), (1,))) == (1,)
     assert alpha(validate(CTX, PS, (0,), (1,), (0,))) == (0,)

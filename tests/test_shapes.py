@@ -1,7 +1,7 @@
 import pytest
 
 from bktame import rankone, shapes
-from bktame import (CUSPIDAL, PS, InvalidShape, LocalContext, NoNonzeroMap,
+from bktame import (CUSPIDAL, PS, InternalError, InvalidShape, LocalContext, NoNonzeroMap,
                     RangeError, TruncationUnstable,
                     Shape, build_MN, build_field, enumerate_types, ext_dim,
                     exhaustive_modules, family_dim,
@@ -128,6 +128,49 @@ def test_build_MN_encodes_every_refined_shape():
             for rs in refined_shapes(tau, shape):
                 m, n = build_MN(tau, rs)
                 assert _refined_shape_of_pair(m, n, tau) == (shape.J, rs.y)
+
+
+def test_build_MN_refuses_a_pair_off_the_type(monkeypatch):
+    # both modules of the standard pair carry k: each passes the module
+    # checks, but the pair is not of the principal-series type
+    ctx = LocalContext(3, 2, 1)
+    tau = make_type(ctx, PS, 1, 0)
+    kv = tau.kvec
+    assert kv != tau.kpvec
+    monkeypatch.setattr(Shape, "cd", property(lambda self: (kv, kv)))
+    with pytest.raises(InternalError):
+        build_MN(tau, maximal_refined(tau, {0, 1}))
+
+
+def test_module_builders_equal_validate():
+    # the builders make their modules without coercing coefficients; each
+    # equals the module validate makes from the same vectors
+    def check_built(mod):
+        assert mod == validate(mod.ctx, mod.kind, mod.r, mod.a, mod.c)
+
+    for p in (3, 5, 7):
+        for f in (1, 2, 3):
+            ctx = LocalContext(p, f, 1 + f % 2)
+            rng = SplitMix64(100 * p + f)
+            for kind in (PS, CUSPIDAL):
+                for _ in range(10):
+                    check_built(random_module(ctx, kind, rng))
+        if p < 7:
+            for kind in (PS, CUSPIDAL):
+                for mod in exhaustive_modules(LocalContext(p, 1, 1), kind):
+                    check_built(mod)
+    for m, n in _untabled_pairs():
+        check_built(m)
+        check_built(n)
+    ctx = LocalContext(3, 2, 2)
+    built = 0
+    for tau in enumerate_types(ctx, canonical=True):
+        for shape in shapes_for(tau):
+            for rs in refined_shapes(tau, shape):
+                for mod in build_MN(tau, rs):
+                    check_built(mod)
+                    built += 1
+    assert built > 100
 
 
 def test_gamma_star_examples():
