@@ -22,9 +22,9 @@ from .shapes import (RefinedShape, Shape, build_MN, ext_dim, family_dim,
 from .tametypes import (CUSPIDAL, PS, LocalContext, TameType,
                         enumerate_types, gamma_digits, make_type)
 from .weights import (Cycle, DieudonnePattern, SerreWeight, all_weights,
-                      c_sigma_cycle, canonical_weight, char_TN,
-                      components_count, dieudonne_pattern, divisor_support,
-                      jh_factors, sigma_tau_J, solve_n_tau,
-                      verify_orthogonality, weight_formula_data, z_tau_cycle)
+                      c_sigma_cycle, char_TN, components_count,
+                      dieudonne_pattern, divisor_support, jh_factors,
+                      sigma_tau_J, solve_n_tau, verify_orthogonality,
+                      z_tau_cycle)
 
 __version__ = "0.1.0"

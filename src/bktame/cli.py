@@ -16,6 +16,7 @@ import time
 from operator import itemgetter
 
 from . import errors
+from .brauer import jh_oracle, weights_character
 from .rankone import (RankOneBK, exhaustive_modules, galois_char, hom_dim,
                       random_module)
 from .rng import SplitMix64
@@ -120,10 +121,10 @@ def cmd_ptau(ctx, args):
 
 def cmd_weights(ctx, args):
     for tau in _selected_types(ctx, args):
-        total = 0
+        weights = []
         for shape in p_tau(tau):
             w = sigma_tau_J(tau, shape)
-            total += w.dim
+            weights.append(w)
             exp_formula = char_TN(tau, shape)
             _, n = build_MN(tau, maximal_refined(tau, shape))
             exp_alpha = galois_char(n).tame_exp
@@ -138,13 +139,16 @@ def cmd_weights(ctx, args):
                 "ok": exp_formula == exp_alpha,
             }
         q = ctx.q
+        total = sum(w.dim for w in weights)
         want = 1 if tau.is_scalar else (q + 1 if tau.kind == PS else q - 1)
+        # the weights must also be the Jordan-Holder factors of the type's
+        # reduction, by the Brauer-character oracle
         yield {
             "key": "%s|dimsum" % tau.label(),
             "type": tau.label(),
             "dim_total": total,
             "dim_expected": want,
-            "ok": total == want,
+            "ok": total == want and weights_character(weights) == jh_oracle(tau),
         }
 
 

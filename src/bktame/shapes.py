@@ -47,6 +47,11 @@ class Shape:
         return frozenset(i for i in range(fp) if ((i - 1) % fp in J) != (i in J))
 
     @cached_property
+    def gamma(self):
+        """gamma_digits of the type (computed once per shape)."""
+        return gamma_digits(self.tau)
+
+    @cached_property
     def gamma_star(self):
         """Digit vector twisted by the shape: complemented where i-1 lies in J.
 
@@ -57,9 +62,8 @@ class Shape:
         tau = self.tau
         if tau.is_scalar:
             raise InvalidShape("gamma* is defined for nonscalar types")
-        gamma = gamma_digits(tau)
+        gamma, J = self.gamma, self.J
         p, fp, ekk = tau.p_, tau.fprime, tau.ekk
-        J = self.J
         gs = tuple(p - 1 - gamma[i] if (i - 1) % fp in J else gamma[i]
                    for i in range(fp))
         c, d = self.cd
@@ -67,6 +71,18 @@ class Shape:
             lhs = p * ((d[i - 1] - c[i - 1]) % ekk) - (c[i] - d[i]) % ekk
             check(lhs == gs[i] * ekk, "twisted digit identity failed")
         return gs
+
+    @cached_property
+    def twist(self):
+        """The shape's twist sum T: over i with i-1 in J, the t-digit
+        gamma_i + [i not in J] times p^{f'-i}, mod p^{f'} - 1 (computed once).
+        Index i is the paper's embedding sigma_i, sigma_{i+1}^p = sigma_i, so
+        its digits sit at p^{-i}, as in gamma_digits.  The descent exponent
+        is k0 - T (char_TN); the weight's det exponent is k0' + T."""
+        tau, J, gamma = self.tau, self.J, self.gamma
+        fp, ppow = tau.fprime, tau.ctx.p_powers(tau.kind)
+        return sum((gamma[i] + (i not in J)) * ppow[-i % fp]
+                   for i in range(fp) if (i - 1) % fp in J) % tau.ekk
 
     @cached_property
     def cd(self):
@@ -131,7 +147,6 @@ def shapes_for(tau):
     determined on 0..f-1 and extended by complementation.  Scalar: empty
     shape only.
     """
-    fp = tau.fprime
     if tau.is_scalar:
         return [Shape(tau, frozenset())]
     f = tau.ctx.f

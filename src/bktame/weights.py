@@ -16,7 +16,7 @@ from .gfarith import _digits
 from .intlinalg import IntegerColumnSolver
 from .rng import SplitMix64
 from .shapes import _to_shape, is_admissible, p_tau
-from .tametypes import CUSPIDAL, PS, enumerate_types, gamma_digits
+from .tametypes import CUSPIDAL, enumerate_types
 
 ZERO = "zero"
 UNIT = "unit"
@@ -59,106 +59,50 @@ class SerreWeight:
         return "t=%s,s=%s" % (list(self.t), list(self.s))
 
 
-def canonical_weight(p, f, t_raw, s):
-    """Normalise the det-twist: the unique digit vector, not all p-1, with
-    the same sum t_j p^j mod p^f - 1."""
-    qm1 = p ** f - 1
-    total = sum(x * p ** j for j, x in enumerate(t_raw)) % qm1
-    return SerreWeight(p, f, _digits(total, p, f), tuple(s))
+def sigma_tau_J(tau, J):
+    """The Serre weight attached to a shape in the admissible set.
 
-
-@dataclass(frozen=True)
-class WeightFormulaData:
-    """Raw shape-dependent exponent vectors; cuspidal types also carry the
-    norm-factored det exponent."""
-
-    sJ: tuple
-    tJ: tuple
-    theta_exp: int  # None for principal series
-
-
-def weight_formula_data(tau, J):
-    """The per-index exponents attached to a shape.
-
-    Outside J-boundaries the s-exponent is the plain digit (less one when
-    the next index sits in J); across a boundary it is complemented.  The
-    t-exponent is nonzero only when the previous index lies in J.
+    J, gamma and s_J are indexed by the paper's embeddings sigma_i, with
+    sigma_{i+1}^p = sigma_i, so index i carries the Frobenius twist p^{-i};
+    a SerreWeight puts s_j on (Sym^{s_j})^{(p^j)}, hence s_j = s_J[-j mod f],
+    where s_J = gamma* less one at each transition.  The det exponent is
+    k0' + T (Shape.twist), divided by q + 1 for cuspidal types once it is
+    checked to factor through the norm.
     """
     shape = _to_shape(tau, J)
-    Jset = shape.J
-    gamma = gamma_digits(tau)
-    p, fp = tau.p_, tau.fprime
-    comp = [i for i in range(fp) if i not in Jset]
-    sJ, tJ = [], []
-    for i in range(fp):
-        in_prev = (i - 1) % fp in Jset
-        if in_prev:
-            sJ.append(p - 1 - gamma[i] - (1 if i in comp else 0))
-            tJ.append(gamma[i] + (1 if i in comp else 0))
-        else:
-            sJ.append(gamma[i] - (1 if i in Jset else 0))
-            tJ.append(0)
-    theta = None
-    if tau.kind == CUSPIDAL:
-        f, ekk, q = tau.ctx.f, tau.ekk, tau.ctx.q
-        for i in range(f):
-            check(sJ[i] == sJ[i + f], "cuspidal s-vector must be f-periodic")
-        exp = tau.k0p
-        for i in range(fp):
-            exp += tJ[i] * pow(p, fp - i, ekk)
-        exp %= ekk
-        check(exp % (q + 1) == 0, "det character must factor through the norm")
-        theta = (exp // (q + 1)) % (q - 1)
-    return WeightFormulaData(tuple(sJ), tuple(tJ), theta)
-
-
-def sigma_tau_J(tau, J):
-    """The Serre weight attached to a shape in the admissible set."""
-    shape = _to_shape(tau, J)
-    if shape.tau != tau or not is_admissible(shape, gamma_digits(tau)):
+    if shape.tau != tau or not is_admissible(shape, shape.gamma):
         raise NotInPTau("shape %s is not admissible for %s"
                         % (sorted(shape.J), tau.label()))
-    data = weight_formula_data(tau, shape)
-    f, p = tau.ctx.f, tau.p_
-    s = data.sJ[:f]
-    check(all(0 <= x <= p - 1 for x in s), "weight digits must lie in [0, p-1]")
-    if tau.kind == PS:
-        t_raw = tuple(data.tJ[i] + d for i, d in enumerate(_digits(tau.k0p, p, f)))
-        return canonical_weight(p, f, t_raw, s)
-    return canonical_weight(p, f, _digits(data.theta_exp, p, f), s)
+    p, f, fp, q = tau.p_, tau.ctx.f, tau.fprime, tau.ctx.q
+    J, trans = shape.J, shape.transitions
+    sJ = [(p - 1 - g if (i - 1) % fp in J else g) - (i in trans)
+          for i, g in enumerate(shape.gamma)]
+    det = (tau.k0p + shape.twist) % tau.ekk
+    if tau.kind == CUSPIDAL:
+        check(sJ[:f] == sJ[f:], "cuspidal s-vector must be f-periodic")
+        check(det % (q + 1) == 0, "det character must factor through the norm")
+        det //= q + 1
+    return SerreWeight(p, f, _digits(det, p, f), tuple(sJ[-j % f] for j in range(f)))
 
 
 @lru_cache(maxsize=None)
 def jh_factors(tau):
     """Weights of the admissible shapes; checked pairwise distinct."""
-    out = {}
-    for shape in p_tau(tau):
-        out[shape] = sigma_tau_J(tau, shape)
-    weights = list(out.values())
+    weights = [sigma_tau_J(tau, shape) for shape in p_tau(tau)]
     check(len(set(weights)) == len(weights), "weights of one type must be distinct")
     return frozenset(weights)
 
 
 def char_TN(tau, J):
     """Tame exponent (normalised at index 0) of the descent character of
-    the standard maximal submodule of the shape.
+    the standard maximal submodule of the shape: k0 - T (Shape.twist).
 
-    The exponent is k0 minus the twisted-digit sum; for cuspidal types the
-    result is checked to be fixed by the q-power map, so it really is the
-    exponent of a character of the base field.
+    For cuspidal types the result is checked to be fixed by the q-power
+    map, so it really is the exponent of a character of the base field.
     """
-    shape = _to_shape(tau, J)
-    Jset = shape.J
-    gamma = gamma_digits(tau)
-    p, fp, ekk = tau.p_, tau.fprime, tau.ekk
-    exp = tau.k0
-    for i in range(fp):
-        if (i - 1) % fp in Jset:
-            t_i = gamma[i] + (0 if i in Jset else 1)
-            exp -= t_i * pow(p, fp - i, ekk)
-    exp %= ekk
+    exp = (tau.k0 - _to_shape(tau, J).twist) % tau.ekk
     if tau.kind == CUSPIDAL:
-        check(exp * tau.ctx.q % ekk == exp, "descent exponent must have niveau one")
+        check(exp * tau.ctx.q % tau.ekk == exp, "descent exponent must have niveau one")
     return exp
 
 
@@ -177,12 +121,15 @@ def dieudonne_pattern(tau, J):
     Within J the Frobenius vanishes and V is a unit; outside J the roles
     swap; at a boundary the non-vanishing operator carries the lowest
     coefficient of the extension parameter, which is generically nonzero.
+
+    Orientation: j is the paper's embedding sigma_j (sigma_{j+1}^p =
+    sigma_j), as for J and gamma; a Frobenius semilinear for the Witt
+    vectors maps the sigma_j-part to the sigma_{j+1}-part, as in
+    shapes._complex_matrix.  No weight digit is read, so no j -> -j.
     """
     if tau.is_scalar:
         raise ScalarType("vanishing patterns ask for a nonscalar type")
-    shape = _to_shape(tau, J)
-    Jset = shape.J
-    fp = tau.fprime
+    Jset, fp = _to_shape(tau, J).J, tau.fprime
     entries = []
     for j in range(fp):
         jin, nin = j in Jset, (j + 1) % fp in Jset
@@ -199,12 +146,12 @@ def dieudonne_pattern(tau, J):
 
 def divisor_support(tau, J):
     """Indices j in [0, f) whose Frobenius divisor contains the component:
-    exactly those with j+1 in J (computed mod f', reported mod f)."""
+    exactly those with j+1 in J (computed mod f', reported mod f), the j
+    where dieudonne_pattern's F: D_j -> D_{j+1} vanishes; same orientation."""
     if tau.is_scalar:
         raise ScalarType("divisor supports ask for a nonscalar type")
-    shape = _to_shape(tau, J)
-    fp = tau.fprime
-    return frozenset(j for j in range(tau.ctx.f) if (j + 1) % fp in shape.J)
+    Jset, fp = _to_shape(tau, J).J, tau.fprime
+    return frozenset(j for j in range(tau.ctx.f) if (j + 1) % fp in Jset)
 
 
 def components_count(tau):

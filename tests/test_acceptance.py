@@ -19,8 +19,7 @@ from bktame import (CUSPIDAL, PS, Cycle, LocalContext, all_weights, build_MN,
                     jh_factors, kext_dim, kext_dim_oracle, maximal_refined,
                     oracle_dims, p_tau, random_module, refined_shapes,
                     shapes_for, sigma_tau_J, solve_n_tau, twist_conjugate,
-                    validate, verify_orthogonality, weight_formula_data,
-                    z_tau_cycle)
+                    validate, verify_orthogonality, z_tau_cycle)
 from bktame.cli import run
 from bktame.rng import SplitMix64
 
@@ -218,9 +217,8 @@ def test_criterion_9_digit_and_weight_well_formedness():
                                for i in range(fp))
                     for shape in p_tau(tau):
                         # periodicity of s and norm divisibility are checked
-                        # inside; the niveau-one condition inside char_TN
-                        data = weight_formula_data(tau, shape)
-                        assert data.theta_exp is not None
+                        # inside sigma_tau_J; the niveau-one condition inside
+                        # char_TN
                         char_TN(tau, shape)
                         sigma_tau_J(tau, shape)
     report(9, "digit vectors and cuspidal weights are well formed",

@@ -51,6 +51,11 @@ REPORT_SHA256 = {
         "bd2d90864327e3e160c2b26d5bd13b3dbeda20c7d01b78f28f21dc6ea9efe23a",
     "bm -p 3 -f 1 --format text":
         "341af4d0bebfbf9a12aa557e8f9b8ac6644cfc41ce4128927ac78a0ccd70ea80",
+    # f = 3 weights, with s_j and the det digits read from index -j (sigma_tau_J)
+    "weights -p 3 -f 3":
+        "e60361d8a39e9dd98ca14ef03c34399d1933d3ea1a98b5aa900e30994d67ca8e",
+    "bm -p 3 -f 3":
+        "2392134cb509f8073561e582f4a4b3be78641713481fd78aa8753a873eaa34bd",
 }
 
 

@@ -134,10 +134,11 @@ def test_gamma_digits_checks_survive_python_O():
          "alpha(RankOneBK(LocalContext(3, 1, 1), PS, (1,), (build_field(3, 1).one(),), (0,)))\n",
          "alpha numerator not divisible"),
         # a cuspidal type with exponents (0, 2), built directly: its digits
-        # pass gamma_digits, but the shape {0} gives a det exponent that is
-        # not a norm and a descent exponent that is not of niveau one
-        ("from bktame import CUSPIDAL, LocalContext, TameType, weight_formula_data\n"
-         "weight_formula_data(TameType(LocalContext(3, 1, 1), CUSPIDAL, 0, 2), {0})\n",
+        # pass gamma_digits, but the admissible shape {1} gives a det
+        # exponent that is not a norm, and the shape {0} a descent exponent
+        # that is not of niveau one
+        ("from bktame import CUSPIDAL, LocalContext, TameType, sigma_tau_J\n"
+         "sigma_tau_J(TameType(LocalContext(3, 1, 1), CUSPIDAL, 0, 2), {1})\n",
          "det character must factor through the norm"),
         ("from bktame import CUSPIDAL, LocalContext, TameType, char_TN\n"
          "char_TN(TameType(LocalContext(3, 1, 1), CUSPIDAL, 0, 2), {0})\n",

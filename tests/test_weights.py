@@ -1,13 +1,12 @@
 import pytest
 
 from bktame import (CUSPIDAL, PS, Cycle, LocalContext, NotInPTau,
-                    ScalarType, SerreWeight, SteinbergWeight, all_weights,
-                    build_MN, c_sigma_cycle, canonical_weight, char_TN,
+                    ScalarType, SerreWeight, Shape, SteinbergWeight,
+                    all_weights, build_MN, c_sigma_cycle, char_TN,
                     components_count, dieudonne_pattern, divisor_support,
                     enumerate_types, galois_char, jh_factors, make_type,
                     maximal_refined, p_tau, shapes_for, sigma_tau_J,
-                    solve_n_tau, verify_orthogonality, weight_formula_data,
-                    z_tau_cycle)
+                    solve_n_tau, verify_orthogonality, z_tau_cycle)
 from bktame.weights import BOTH_IN, BOTH_OUT, GENERIC, INTO_J, UNIT, ZERO
 
 CTX = LocalContext(3, 1, 1)
@@ -15,10 +14,27 @@ TAU_PS = make_type(CTX, PS, 1, 0)
 TAU_C = make_type(CTX, CUSPIDAL, 1)
 
 
-def test_canonical_weight_examples():
-    assert canonical_weight(3, 1, (2,), (1,)).t == (0,)
-    assert canonical_weight(3, 1, (1,), (0,)).t == (1,)
-    assert canonical_weight(3, 2, (2, 2), (0, 0)).t == (0, 0)
+def test_sigma_tau_J_weights_are_in_normal_form():
+    # det exponents k0' + T that reach q - 1 are reduced: a raw t of (2,) at
+    # p = 3 f = 1, or digits (2, 2) at f = 2, become t = 0; (1,) stays
+    w = sigma_tau_J(make_type(CTX, PS, 0, 1), {0})
+    assert (w.t, w.s) == ((0,), (1,))
+    assert sigma_tau_J(make_type(CTX, PS, 1, 1), frozenset()).t == (1,)
+    w = sigma_tau_J(make_type(LocalContext(3, 2, 1), PS, 2, 6), {1})
+    assert (w.t, w.s) == ((0, 0), (0, 0))
+    wrapped = 0
+    for p, f in [(3, 1), (3, 2), (5, 2), (3, 3)]:
+        ctx = LocalContext(p, f, 1)
+        q = ctx.q
+        for tau in enumerate_types(ctx, canonical=True):
+            for shape in p_tau(tau):
+                w = sigma_tau_J(tau, shape)
+                det = (tau.k0p + shape.twist) % tau.ekk
+                det //= 1 if tau.kind == PS else q + 1
+                value = sum(x * p ** j for j, x in enumerate(w.t))
+                assert value == det % (q - 1)
+                wrapped += tau.kind == PS and tau.k0p + shape.twist >= q - 1
+    assert wrapped
 
 
 def test_weight_validation():
@@ -46,9 +62,11 @@ def test_sigma_tau_J_rejects_inadmissible_shape():
 
 
 def test_cuspidal_norm_factorisation_value():
-    data = weight_formula_data(TAU_C, {1})
-    assert data.sJ == (1, 1) and data.tJ == (1, 0)
-    assert data.theta_exp == 1  # (3 + 1*1 + 0*3) / (q+1)
+    # t-digits (1, 0) at p^{f'-i}: T = 1 * 3^2 mod 8 = 1
+    assert Shape(TAU_C, frozenset({1})).twist == 1
+    # det exponent k0' + T = 3 + 1 = 4 is (q + 1) * 1, so t = (1,); s_J = (1, 1)
+    w = sigma_tau_J(TAU_C, {1})
+    assert (w.t, w.s) == ((1,), (1,))
 
 
 def test_jh_factors_examples():
