@@ -16,9 +16,9 @@ from .rankone import (GaloisChar, RankOneBK, alpha, exhaustive_modules,
                       same_generic_fibre, twist_conjugate, validate)
 from .rng import SplitMix64
 from .shapes import (RefinedShape, Shape, build_MN, ext_dim, family_dim,
-                     gamma_star, irred_bound, is_admissible, kext_dim,
-                     kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
-                     refined_count, refined_shapes, shapes_for)
+                     irred_bound, is_admissible, kext_dim, kext_dim_oracle,
+                     maximal_refined, oracle_dims, p_tau, refined_count,
+                     refined_shapes, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, TameType,
                         enumerate_types, gamma_digits, make_type)
 from .weights import (Cycle, DieudonnePattern, SerreWeight, all_weights,

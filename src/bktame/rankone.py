@@ -35,10 +35,6 @@ class RankOneBK:
         return self.ctx.ekk(self.kind)
 
     @property
-    def eprime(self):
-        return self.ctx.eprime(self.kind)
-
-    @property
     def field(self):
         return self.ctx.coefficient_field(self.kind)
 

@@ -214,11 +214,6 @@ def build_MN(tau, refined):
     return m, n
 
 
-def gamma_star(tau, J):
-    """The shape's twisted digit vector (see Shape.gamma_star)."""
-    return _to_shape(tau, J).gamma_star
-
-
 def _ext_beyond_hom(m, n):
     """dim Ext^1(M, N) - dim Hom(M, N): per index, the count of degrees in
     [0, r_i) congruent to r_i + c_i - d_i mod p^{f'} - 1."""

@@ -20,7 +20,6 @@ KINDS = (PS, CUSPIDAL)
 MAX_P = 13
 MAX_F = 4
 MAX_E = 6
-MAX_FE = 24
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,7 @@ class LocalContext:
             raise NotPrime("p = %d is not prime" % self.p)
         if self.p == 2:
             raise NotSupported("p must be odd")
-        if not (self.p <= MAX_P and 1 <= self.f <= MAX_F and 1 <= self.e <= MAX_E
-                and self.f * self.e <= MAX_FE):
+        if not (self.p <= MAX_P and 1 <= self.f <= MAX_F and 1 <= self.e <= MAX_E):
             raise NotSupported("context (p=%d, f=%d, e=%d) beyond desk-scale caps"
                                % (self.p, self.f, self.e))
         # per-kind invariants, computed once; not fields, so eq/hash/repr ignore them
@@ -99,10 +97,6 @@ class TameType:
         return self.ctx.ekk(self.kind)
 
     @property
-    def eprime(self):
-        return self.ctx.eprime(self.kind)
-
-    @property
     def is_scalar(self):
         return self.kind == PS and self.k0 == self.k0p
 
@@ -122,10 +116,6 @@ class TameType:
     @property
     def p_(self):
         return self.ctx.p
-
-    def swap(self):
-        """The same pair with the two characters exchanged."""
-        return TameType(self.ctx, self.kind, self.k0p, self.k0)
 
     def label(self):
         if self.is_scalar:

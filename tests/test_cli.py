@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from bktame import (LocalContext, all_weights, cli, enumerate_types, errors, intlinalg,
-                    rankone, shapes)
+                    rankone, shapes, weights)
 from bktame.cli import run
 
 # sha256 of the rendered report; any change to these bytes is a change of output
@@ -94,6 +94,69 @@ def test_types_ordered_lists_pairs():
 def test_bad_input_exits_2(argv, message):
     text, code = run(argv.split())
     assert code == 2 and message in text
+
+
+# the options each command reads, besides -p, -f, -e, --format and --out
+COMMON_OPTIONS = ("-p", "-f", "-e", "--format", "--out")
+READS = {
+    "types": ("--type", "--ordered"),
+    "ptau": ("--type", "--ordered"),
+    "weights": ("--type", "--ordered"),
+    "components": ("--type", "--ordered"),
+    "oracle": ("--exhaustive", "--samples", "--seed", "--trunc"),
+    "bm": ("--seed",),
+}
+# a value each option accepts
+OPTION_ARGS = {"--type": ["cusp:1"], "--ordered": [], "--exhaustive": [],
+               "--samples": ["0"], "--seed": ["3"], "--trunc": ["4"]}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action.choices, dict))
+
+
+def test_each_command_accepts_exactly_the_options_it_reads():
+    settable = {}
+    for name, cmd in _subparsers().items():
+        settable[name] = sorted(opt for action in cmd._actions for opt in action.option_strings
+                                if opt not in ("-h", "--help"))
+    assert settable == {name: sorted(COMMON_OPTIONS + READS[name]) for name in READS}
+    assert sum(len(opts) for opts in settable.values()) == 43
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in READS[c]],
+                         ids=lambda x: x.lstrip("-"))
+def test_an_option_a_command_reads_parses(command, option):
+    args = cli.build_parser().parse_args([command, "-p", "3", "-f", "1", option,
+                                          *OPTION_ARGS[option]])
+    assert str(vars(args)[option.lstrip("-")]) == (OPTION_ARGS[option] or ["True"])[0]
+
+
+@pytest.mark.parametrize("command, option",
+                         [(c, o) for c in READS for o in OPTION_ARGS if o not in READS[c]],
+                         ids=lambda x: x.lstrip("-"))
+def test_an_option_a_command_does_not_read_exits_2_before_any_work(monkeypatch, capsys,
+                                                                    command, option):
+    contexts = []
+    monkeypatch.setattr(cli, "LocalContext", lambda *args: contexts.append(args))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "-p", "3", "-f", "1", option, *OPTION_ARGS[option]])
+    assert exc.value.code == 2 and contexts == []
+    assert "unrecognized arguments: %s" % option in capsys.readouterr().err
+
+
+def test_readme_command_line_examples_parse():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(path, encoding="utf-8") as handle:
+        section = handle.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split() for line in block.splitlines() if line.startswith("bktame ")]
+    assert {argv[1] for argv in examples} == set(READS)
+    parser = cli.build_parser()
+    for argv in examples:
+        assert parser.parse_args(argv[1:]).command == argv[1]
 
 
 def test_error_while_rows_are_produced_exits_2(monkeypatch, tmp_path):
@@ -485,6 +548,27 @@ def test_bm_report():
     weight_rows = [it for it in report["items"] if it["key"].startswith("weight|")]
     assert len(weight_rows) == 4
     assert all(it["unit_cycle"] and it["unit_cycle_permuted"] for it in weight_rows)
+
+
+def test_bm_ztau_row_fails_on_a_wrong_weight_set(monkeypatch):
+    # give ps:1,0 the weight set of cusp:2: the cycle solves still close up,
+    # because they read the same wrong set, so only the type's ztau row,
+    # which compares Z(tau) with the Brauer-character oracle, can see it
+    ctx = LocalContext(3, 1, 1)
+    types = {tau.label(): tau for tau in enumerate_types(ctx, canonical=True)}
+    jh_factors = weights.jh_factors
+
+    def wrong(tau):
+        return jh_factors(types["cusp:2"] if tau == types["ps:1,0"] else tau)
+
+    monkeypatch.setattr(weights, "jh_factors", wrong)
+    weights._bm_system.cache_clear()
+    try:
+        report, code = run_json(["bm", "-p", "3", "-f", "1"])
+    finally:
+        weights._bm_system.cache_clear()
+    assert code == 1
+    assert [it["key"] for it in report["items"] if not it["ok"]] == ["ztau|ps:1,0"]
 
 
 def test_bm_solves_each_weight_once_per_elimination_order(monkeypatch):

@@ -5,7 +5,7 @@ from bktame import (CUSPIDAL, PS, InternalError, InvalidShape, LocalContext, NoN
                     RangeError, TruncationUnstable,
                     Shape, build_MN, build_field, enumerate_types, ext_dim,
                     exhaustive_modules, family_dim,
-                    gamma_digits, gamma_star, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
+                    gamma_digits, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
                     is_admissible, make_type, maximal_refined, oracle_dims,
                     p_tau, random_module, refined_count, refined_shapes,
                     shapes_for, validate)
@@ -107,7 +107,7 @@ def _refined_shape_of_pair(m, n, tau):
     fp, ekk = tau.fprime, tau.ekk
     for i in range(fp):
         assert {m.c[i], n.c[i]} == {tau.kvec[i], tau.kpvec[i]}
-        assert m.r[i] + n.r[i] == tau.eprime
+        assert m.r[i] + n.r[i] == tau.ctx.eprime(tau.kind)
     if tau.is_scalar:
         J = frozenset()
     else:
@@ -174,9 +174,9 @@ def test_module_builders_equal_validate():
 
 
 def test_gamma_star_examples():
-    assert gamma_star(TAU_C, {1})[0] == 2   # i-1 = 1 lies in J
-    assert gamma_star(TAU_C, {0})[0] == 0   # i-1 = 1 outside J
-    assert gamma_star(TAU_PS, {0})[0] == 1  # complemented digit 2 - 1
+    assert Shape(TAU_C, frozenset({1})).gamma_star[0] == 2   # i-1 = 1 lies in J
+    assert Shape(TAU_C, frozenset({0})).gamma_star[0] == 0   # i-1 = 1 outside J
+    assert Shape(TAU_PS, frozenset({0})).gamma_star[0] == 1  # complemented digit 2 - 1
 
 
 def test_ext_dim_examples():
