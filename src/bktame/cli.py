@@ -10,7 +10,6 @@ repeated runs are byte-identical.  All JSON numbers are exact integers.
 
 import argparse
 import json
-import os
 import sys
 import time
 from operator import itemgetter
@@ -29,7 +28,6 @@ from .weights import (Cycle, all_weights, c_sigma_cycle, char_TN,
                       components_count, dieudonne_pattern, divisor_support,
                       sigma_tau_J, solve_n_tau, z_tau_cycle)
 
-OUTPUT_DIR_ENV = "BKTAME_OUTPUT_DIR"
 _WRITE_SLICE = 1 << 20   # characters per write of a report
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -434,11 +432,7 @@ def run(argv):
         return "error: %s\n" % exc, 2
     print("elapsed: %dms" % int(1000 * (time.time() - started)), file=sys.stderr)
     if args.out:
-        path = args.out
-        outdir = os.environ.get(OUTPUT_DIR_ENV)
-        if outdir and not os.path.isabs(path):
-            path = os.path.join(outdir, path)
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             _write(handle, text)
     return text, (0 if report["summary"]["fail"] == 0 else 1)
 

@@ -15,7 +15,6 @@ class IntegerColumnSolver:
 
     def __init__(self, columns, nrows):
         # columns: list of {row: int}; combinations track original columns
-        self.nrows = nrows
         work = [({r: v for r, v in col.items() if v}, {j: 1})
                 for j, col in enumerate(columns)]
         pivots = []   # (row, column dict, combo dict) in increasing row order

@@ -193,7 +193,6 @@ def same_generic_fibre(m, n):
 
 def hom_dim(m, n):
     """dim Hom(M, N) in {0, 1}: same character and alpha(M) >= alpha(N)."""
-    _same_frame(m, n)
     if not same_generic_fibre(m, n):
         return 0
     return 1 if all(x >= y for x, y in zip(m.alpha_vector, n.alpha_vector)) else 0

@@ -57,13 +57,10 @@ class Shape:
 
         At every transition the defining identity
         p*[d_{i-1} - c_{i-1}] - [c_i - d_i] = gamma*_i (p^{f'} - 1) is checked.
-        Computed once per shape.
+        All zeros for a scalar type.  Computed once per shape.
         """
-        tau = self.tau
-        if tau.is_scalar:
-            raise InvalidShape("gamma* is defined for nonscalar types")
-        gamma, J = self.gamma, self.J
-        p, fp, ekk = tau.p_, tau.fprime, tau.ekk
+        tau, gamma, J = self.tau, self.gamma, self.J
+        p, fp, ekk = tau.ctx.p, tau.fprime, tau.ekk
         gs = tuple(p - 1 - gamma[i] if (i - 1) % fp in J else gamma[i]
                    for i in range(fp))
         c, d = self.cd
@@ -98,12 +95,8 @@ class Shape:
         """Transitions (i-1, i), i = 0..f-1, with vanishing twisted digit:
         the closed-form kExt dimension away from the exceptional branch
         (computed once)."""
-        tau = self.tau
-        if tau.is_scalar:
-            return 0
-        gs = self.gamma_star
-        low = _reduced_mod_f(self.transitions, tau)
-        return sum(1 for i in range(tau.ctx.f) if i in low and gs[i] == 0)
+        gs, low = self.gamma_star, _reduced_mod_f(self.transitions, self.tau)
+        return sum(1 for i in range(self.tau.ctx.f) if i in low and gs[i] == 0)
 
     @cached_property
     def y_ranges(self):
@@ -133,7 +126,13 @@ class RefinedShape:
 
 
 def _to_shape(tau, J):
-    return J if isinstance(J, Shape) else Shape(tau, frozenset(J))
+    """The one gate for a shape argument: a Shape of tau itself, or the
+    indices of one.  A Shape of another type is refused."""
+    if not isinstance(J, Shape):
+        return Shape(tau, frozenset(J))
+    if J.tau != tau:
+        raise InvalidShape("a shape of %s given for %s" % (J.tau.label(), tau.label()))
+    return J
 
 
 def _reduced_mod_f(indices, tau):
@@ -162,10 +161,13 @@ def shapes_for(tau):
 
 
 def is_admissible(shape, gamma):
-    """Whether the shape lies in P_tau, given gamma = gamma_digits(shape.tau):
+    """Whether the shape lies in P_tau, given gamma = gamma_digits(tau):
     its transitions avoid the forbidden digit values, i.e. leaving J
-    requires gamma_i != p-1 and entering J requires gamma_i != 0."""
-    J, p = shape.J, shape.tau.p_
+    requires gamma_i != p-1 and entering J requires gamma_i != 0.
+
+    tau may be any type in shape.tau's (kind, scalar) group, which share
+    their shapes and transitions; ptau passes one shape list per group."""
+    J, p = shape.J, shape.tau.ctx.p
     return all(gamma[i] != (0 if i in J else p - 1) for i in shape.transitions)
 
 
@@ -197,7 +199,7 @@ def build_MN(tau, refined):
     exponents complementary (r_i + s_i = e').  Both modules get every
     integer check (rankone._module); the pair must then carry the type's
     descent exponents {k_i, k'_i} at every index."""
-    shape = refined.shape
+    shape = _to_shape(tau, refined.shape)
     ctx, kind = tau.ctx, tau.kind
     f, fp, ekk, ep = ctx.f, ctx.fprime(kind), ctx.ekk(kind), ctx.eprime(kind)
     c, d = shape.cd

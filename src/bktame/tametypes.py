@@ -113,10 +113,6 @@ class TameType:
         ekk = self.ekk
         return tuple(pw * k % ekk for pw in self.ctx.p_powers(self.kind))
 
-    @property
-    def p_(self):
-        return self.ctx.p
-
     def label(self):
         if self.is_scalar:
             return "scalar:%d" % self.k0
@@ -149,11 +145,11 @@ def gamma_digits(tau):
 
     The representative is the unique vector in [0, p-1]^{f'} that is not
     all p-1 (all zeros exactly for scalar types); since the j = 0 term is
-    the only one prime to p, each digit is just [k_i - k'_i] mod p.
+    the only one prime to p, each digit is just [k_i - k'_i] mod p, and
+    k_i - k'_i = p^i (k0 - k0p) is one Frobenius orbit.
     """
-    p, ekk, fp = tau.p_, tau.ekk, tau.fprime
-    kv, kpv = tau.kvec, tau.kpvec
-    gamma = tuple(((kv[i] - kpv[i]) % ekk) % p for i in range(fp))
+    p, fp = tau.ctx.p, tau.fprime
+    gamma = tuple(k % p for k in tau._frobenius_orbit(tau.k0 - tau.k0p))
     check(not all(g == p - 1 for g in gamma), "digit vector is all p-1")
     check(tau.is_scalar == all(g == 0 for g in gamma), "zero digits iff scalar")
     if tau.kind == CUSPIDAL:
@@ -174,21 +170,15 @@ def enumerate_types(ctx, kinds=KINDS, canonical=False):
     every nondegenerate cuspidal exponent.  With canonical=True the pairs
     (k0, k0p) ~ (k0p, k0) and cuspidal orbits k0 ~ q*k0 are identified;
     swapping the pair replaces each shape by its complement downstream.
+    Scalars come first, then the other principal-series pairs in (k0, k0p)
+    order, then the cuspidal exponents.
     """
     out = []
     if PS in kinds:
         n = ctx.ekk(PS)
-        scalars = [make_type(ctx, PS, k, k) for k in range(n)]
-        nonscalar = []
-        for k0 in range(n):
-            for k0p in range(n):
-                if k0 == k0p:
-                    continue
-                if canonical and k0 < k0p:
-                    continue
-                nonscalar.append(make_type(ctx, PS, k0, k0p))
-        out.extend(scalars)
-        out.extend(sorted(nonscalar, key=lambda t: (t.k0, t.k0p)))
+        out.extend(make_type(ctx, PS, k, k) for k in range(n))
+        out.extend(make_type(ctx, PS, k0, k0p) for k0 in range(n)
+                   for k0p in range(k0 if canonical else n) if k0p != k0)
     if CUSPIDAL in kinds:
         n = ctx.ekk(CUSPIDAL)
         cusp = []

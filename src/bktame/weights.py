@@ -65,18 +65,16 @@ def sigma_tau_J(tau, J):
     J, gamma and s_J are indexed by the paper's embeddings sigma_i, with
     sigma_{i+1}^p = sigma_i, so index i carries the Frobenius twist p^{-i};
     a SerreWeight puts s_j on (Sym^{s_j})^{(p^j)}, hence s_j = s_J[-j mod f],
-    where s_J = gamma* less one at each transition.  The det exponent is
-    k0' + T (Shape.twist), divided by q + 1 for cuspidal types once it is
-    checked to factor through the norm.
+    where s_J = gamma* (Shape.gamma_star) less one at each transition.  The
+    det exponent is k0' + T (Shape.twist), divided by q + 1 for cuspidal
+    types once it is checked to factor through the norm.
     """
     shape = _to_shape(tau, J)
-    if shape.tau != tau or not is_admissible(shape, shape.gamma):
+    if not is_admissible(shape, shape.gamma):
         raise NotInPTau("shape %s is not admissible for %s"
                         % (sorted(shape.J), tau.label()))
-    p, f, fp, q = tau.p_, tau.ctx.f, tau.fprime, tau.ctx.q
-    J, trans = shape.J, shape.transitions
-    sJ = [(p - 1 - g if (i - 1) % fp in J else g) - (i in trans)
-          for i, g in enumerate(shape.gamma)]
+    p, f, q, trans = tau.ctx.p, tau.ctx.f, tau.ctx.q, shape.transitions
+    sJ = [g - (i in trans) for i, g in enumerate(shape.gamma_star)]
     det = (tau.k0p + shape.twist) % tau.ekk
     if tau.kind == CUSPIDAL:
         check(sJ[:f] == sJ[f:], "cuspidal s-vector must be f-periodic")

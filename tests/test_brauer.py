@@ -107,7 +107,7 @@ def test_oracle_rejects_the_dual_type(p, f):
 def _unreindexed_weight(tau, shape):
     """The weight with s_J and the t-digits read in the p^j orientation:
     s_j = s_J[j], and for principal series t from t_J[j] plus digit j of k0'."""
-    p, f, fp, q = tau.p_, tau.ctx.f, tau.fprime, tau.ctx.q
+    p, f, fp, q = tau.ctx.p, tau.ctx.f, tau.fprime, tau.ctx.q
     gamma, J = gamma_digits(tau), shape.J
     sJ, tJ = [], []
     for i in range(fp):

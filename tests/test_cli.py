@@ -215,6 +215,35 @@ def test_no_module_uses_assert():
     assert not found, "assert statements vanish under python -O: %s" % found
 
 
+_SHAPE_ENTRY_POINTS = {"refined_shapes", "refined_count", "maximal_refined", "build_MN",
+                       "kext_dim", "sigma_tau_J", "char_TN", "dieudonne_pattern",
+                       "divisor_support"}
+
+
+def test_every_shape_argument_passes_the_one_gate():
+    # shapes._to_shape refuses a Shape of another type; a public function
+    # taking (tau, J) or (tau, refined) that skips it would answer for a
+    # mix of two types.  family_dim reads only refined.y.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "bktame")
+    checked, missing = set(), []
+    for name in ("shapes.py", "weights.py"):
+        with open(os.path.join(src, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            params = [arg.arg for arg in node.args.args[:2]]
+            if params not in (["tau", "J"], ["tau", "refined"]) or node.name == "family_dim":
+                continue
+            checked.add(node.name)
+            calls = {call.func.id for call in ast.walk(node)
+                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+            if "_to_shape" not in calls:
+                missing.append("%s:%s" % (name, node.name))
+    assert checked >= _SHAPE_ENTRY_POINTS
+    assert not missing, "shape arguments that skip _to_shape: %s" % missing
+
+
 # The oracles' solves read only the system and row-reduce it; they name no
 # closed form and no Galois-character invariant of the modules.  _alpha is
 # the one invariant they share with the closed forms, in the Galois-level
@@ -601,12 +630,12 @@ def test_csv_and_text_render():
     assert "pass=6 fail=0" in text2
 
 
-def test_out_file_and_env_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("BKTAME_OUTPUT_DIR", str(tmp_path))
-    text, code = run(["types", "-p", "3", "-f", "1", "--out", "report.json"])
+def test_out_file_at_an_absolute_path(tmp_path):
+    path = tmp_path / "report.json"
+    assert path.is_absolute()
+    text, code = run(["types", "-p", "3", "-f", "1", "--out", str(path)])
     assert code == 0
-    on_disk = (tmp_path / "report.json").read_text(encoding="utf-8")
-    assert on_disk == text
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_report_over_one_write_slice_is_written_whole(tmp_path, capsys):

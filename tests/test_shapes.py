@@ -3,12 +3,13 @@ import pytest
 from bktame import rankone, shapes
 from bktame import (CUSPIDAL, PS, InternalError, InvalidShape, LocalContext, NoNonzeroMap,
                     RangeError, TruncationUnstable,
-                    Shape, build_MN, build_field, enumerate_types, ext_dim,
+                    Shape, build_MN, build_field, char_TN, dieudonne_pattern,
+                    divisor_support, enumerate_types, ext_dim,
                     exhaustive_modules, family_dim,
                     gamma_digits, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
                     is_admissible, make_type, maximal_refined, oracle_dims,
                     p_tau, random_module, refined_count, refined_shapes,
-                    shapes_for, validate)
+                    shapes_for, sigma_tau_J, validate)
 from bktame.rng import SplitMix64
 
 CTX = LocalContext(3, 1, 1)
@@ -61,7 +62,7 @@ def test_refined_count_is_the_number_of_refined_shapes():
 
 def _admissible_by_definition(shape, gamma):
     """Leaving J at i needs gamma_i != p-1; entering J at i needs gamma_i != 0."""
-    fp, J, p = shape.tau.fprime, shape.J, shape.tau.p_
+    fp, J, p = shape.tau.fprime, shape.J, shape.tau.ctx.p
     for i in range(fp):
         prev_in, cur_in = (i - 1) % fp in J, i in J
         if prev_in and not cur_in and gamma[i] == p - 1:
@@ -171,6 +172,43 @@ def test_module_builders_equal_validate():
                     check_built(mod)
                     built += 1
     assert built > 100
+
+
+# every entry point that reads a shape of tau, called on a Shape or on indices
+_SHAPE_CALLS = {
+    "refined_shapes": lambda tau, J: refined_shapes(tau, J),
+    "refined_count": lambda tau, J: refined_count(tau, J),
+    "maximal_refined": lambda tau, J: maximal_refined(tau, J),
+    "kext_dim": lambda tau, J: kext_dim(tau, J, 1, 1),
+    "sigma_tau_J": lambda tau, J: sigma_tau_J(tau, J),
+    "char_TN": lambda tau, J: char_TN(tau, J),
+    "dieudonne_pattern": lambda tau, J: dieudonne_pattern(tau, J),
+    "divisor_support": lambda tau, J: divisor_support(tau, J),
+    # a refined shape of J's own type, so that build_MN's own gate is the one hit
+    "build_MN": lambda tau, J: build_MN(tau, maximal_refined(getattr(J, "tau", tau), J)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPE_CALLS))
+def test_a_shape_of_another_type_is_refused(name):
+    call = _SHAPE_CALLS[name]
+    other = Shape(TAU_C, frozenset({1}))
+    with pytest.raises(InvalidShape):
+        call(TAU_PS, other)
+    # a shape of the type itself and the bare indices give the same answer
+    assert call(TAU_PS, Shape(TAU_PS, frozenset({0}))) == call(TAU_PS, {0})
+
+
+def test_gamma_star_and_kext_count_vanish_for_scalar_types():
+    for p in (3, 5):
+        for f in (1, 2):
+            scalars = [tau for tau in enumerate_types(LocalContext(p, f, 1), kinds=(PS,))
+                       if tau.is_scalar]
+            assert len(scalars) == p ** f - 1
+            for tau in scalars:
+                shape = Shape(tau, frozenset())
+                assert shape.gamma_star == (0,) * f
+                assert shape.kext_count == 0
 
 
 def test_gamma_star_examples():

@@ -104,6 +104,35 @@ def test_enumeration_counts_p3_f1():
     assert sorted(t.k0 for t in cusp) == [1, 2, 5]  # orbits {1,3},{2,6},{5,7}
 
 
+def _types_by_brute_force(ctx, kinds, canonical):
+    """Filter every candidate exponent, then sort: scalars, the other
+    principal-series pairs, then cuspidal exponents, each in numeric order."""
+    out = []
+    if PS in kinds:
+        n = ctx.ekk(PS)
+        pairs = [(k0, k0p) for k0 in range(n) for k0p in range(n)]
+        scalars = sorted(pair for pair in pairs if pair[0] == pair[1])
+        others = sorted(pair for pair in pairs
+                        if pair[0] != pair[1] and not (canonical and pair[0] < pair[1]))
+        out += [TameType(ctx, PS, k0, k0p) for k0, k0p in scalars + others]
+    if CUSPIDAL in kinds:
+        n = ctx.ekk(CUSPIDAL)
+        twist = {k0: k0 * ctx.q % n for k0 in range(n)}
+        keep = sorted(k0 for k0 in range(n)
+                      if twist[k0] != k0 and not (canonical and twist[k0] < k0))
+        out += [TameType(ctx, CUSPIDAL, k0, twist[k0]) for k0 in keep]
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(p, f) for p in (3, 5, 7) for f in (1, 2)])
+def test_enumeration_matches_a_brute_force_reference(p, f):
+    ctx = LocalContext(p, f, 1)
+    for kinds in ((), (PS,), (CUSPIDAL,), (PS, CUSPIDAL)):
+        for canonical in (False, True):
+            assert (enumerate_types(ctx, kinds=kinds, canonical=canonical)
+                    == _types_by_brute_force(ctx, kinds, canonical))
+
+
 def test_enumeration_counts_p5_f1():
     ctx = LocalContext(5, 1, 1)
     cusp = [t for t in enumerate_types(ctx, canonical=True) if t.kind == CUSPIDAL]
