@@ -12,18 +12,17 @@ F9 = build_field(3, 2)
 print("GF(9) modulus coefficients (constant term first):", F9.modulus)
 
 # An element is its base-p index sum(coeffs[j] * 3^j), and all arithmetic
-# is FieldSpec on bare indices; FieldElem only holds an index.
-gen = F9.multiplicative_generator()
-g = gen.idx
+# is FieldSpec on those indices; elem reads a coefficient tuple as an index.
+g = F9.multiplicative_generator()
 powers = [1]
 while F9.mul(powers[-1], g) != 1:
     powers.append(F9.mul(powers[-1], g))
-print("multiplicative generator:", gen, "has index", g, "and order", len(powers))
+print("multiplicative generator: index", g, "of order", len(powers))
 # Frobenius is x -> x^p; on GF(p^2) applying it twice is the identity.
 frob = lambda x: F9.mul(F9.mul(x, x), x)
 print("Frobenius applied twice is the identity:", frob(frob(g)) == g)
 
-x = F9.elem((0, 1)).idx
+x = F9.elem((0, 1))
 print("\nx has index", x, "and x * x has index", F9.mul(x, x), "= -1 =", F9.neg(1))
 print("1 / x has index", F9.inv(x), "= -x =", F9.neg(x))
 

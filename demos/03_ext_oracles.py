@@ -14,9 +14,9 @@ print("principal-series maximal pair of shape {0}:")
 print("  ext formula %d vs oracle %d" % (ext_dim(m, n), ext_o))
 print("  hom formula %d vs oracle %d" % (hom_dim(m, n), hom_o))
 
-# Twisting one unramified coefficient kills the Hom contribution.
-g = ctx.coefficient_field(PS).elem(2)
-n_twist = validate(ctx, PS, n.r, (g,), n.c)
+# Twisting one unramified coefficient kills the Hom contribution.  A
+# coefficient is its index in the module's own field, here GF(3).
+n_twist = validate(ctx, PS, n.r, (2,), n.c)
 print("  after twisting N: ext %d vs oracle %d"
       % (ext_dim(m, n_twist), oracle_dims(m, n_twist)[0]))
 
@@ -32,7 +32,7 @@ print("\ncuspidal shape {0} (inadmissible, all transitions):")
 print("  equal products:    kext %d vs oracle %d"
       % (kext_dim(tau_c, {0}, 1, 1), kext_dim_oracle(m0, n0)))
 print("  distinct products: kext %d vs oracle %d"
-      % (kext_dim(tau_c, {0}, F.one(), gen), kext_dim_oracle(m0, n0g)))
+      % (kext_dim(tau_c, {0}, 1, gen), kext_dim_oracle(m0, n0g)))
 
 # The same pair admits a nonzero map to the conjugate twist, so the
 # irreducible-locus dimension bound applies.

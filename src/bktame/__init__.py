@@ -10,7 +10,7 @@ from .errors import (BadResidue, BKError, CongruenceFailed,
                      NoSolution, NotInPTau, NotPrime, NotSupported,
                      PeriodError, RangeError, ScalarType, SteinbergWeight,
                      TruncationUnstable, ZeroCoefficient)
-from .gfarith import FieldElem, FieldSpec, build_field
+from .gfarith import FieldSpec, build_field
 from .rankone import (GaloisChar, RankOneBK, alpha, exhaustive_modules,
                       galois_char, hom_dim, random_module,
                       same_generic_fibre, twist_conjugate, validate)

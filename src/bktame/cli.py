@@ -16,6 +16,7 @@ from operator import itemgetter
 
 from . import errors
 from .brauer import jh_oracle, weights_character
+from .gfarith import _digits
 from .rankone import (RankOneBK, exhaustive_modules, galois_char, hom_dim,
                       random_module)
 from .rng import SplitMix64
@@ -151,7 +152,8 @@ def cmd_weights(ctx, args):
 
 
 def _module_json(m):
-    return {"r": list(m.r), "a": [list(x.coeffs) for x in m.a], "c": list(m.c)}
+    p, fp = m.ctx.p, m.fprime
+    return {"r": list(m.r), "a": [list(_digits(x, p, fp)) for x in m.a], "c": list(m.c)}
 
 
 def _pair_items(kind, pairs, trunc):
@@ -186,17 +188,15 @@ def cmd_oracle(ctx, args):
     for tau in enumerate_types(ctx, canonical=True):
         if tau.is_scalar:
             continue
-        field = ctx.coefficient_field(tau.kind)
-        one, gen = field.one(), field.multiplicative_generator()
-        errors.check(gen and gen.owner == field, "twist coefficient is not a unit")
+        gen = ctx.coefficient_field(tau.kind).multiplicative_generator()
         label = tau.label()
         for shape in shapes_for(tau):
             m, n = build_MN(tau, maximal_refined(tau, shape))
             # n with every coefficient gen: its r and c are already validated
             n_twist = RankOneBK(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
             prefix = "kext|%s|J=%s|" % (label, _shape_str(shape.J))
-            for tag, prod_b, nn in (("eq", one, n), ("ne", gen, n_twist)):
-                kv = kext_dim(tau, shape, one, prod_b)
+            for tag, prod_b, nn in (("eq", 1, n), ("ne", gen, n_twist)):
+                kv = kext_dim(tau, shape, 1, prod_b)
                 ko = kext_dim_oracle(m, nn)
                 yield {
                     "key": prefix + tag,

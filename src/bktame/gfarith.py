@@ -8,7 +8,7 @@ deterministic without external tables.  A field element is its index
 sum(coeffs[j] * p^j); fields of order up to 2^16 get exp/log tables keyed
 by index, so multiplying and inverting are lookups.  All arithmetic is
 FieldSpec on bare indices, and row reduction works on index lists;
-FieldElem only holds an index with its field and has no operators.
+FieldSpec.elem is the one reading of a coefficient given from outside.
 """
 
 from functools import lru_cache
@@ -219,37 +219,20 @@ class FieldSpec:
                 return idx
         raise InternalError("no multiplicative generator found (internal error)")
 
-    def elem(self, coeffs):
-        """An int in [0, p) is that prime-field element, whose index and
-        residue agree; a tuple gives the coefficients mod p, zero-padded to m."""
-        if isinstance(coeffs, int):
-            if not 0 <= coeffs < self.p:
-                raise RangeError("int coefficient %d outside [0, %d); pass a tuple"
-                                 % (coeffs, self.p))
-            return FieldElem(self, coeffs)
-        if len(coeffs) > self.m:
-            raise RangeError("%d coefficients for a degree-%d field" % (len(coeffs), self.m))
-        return FieldElem(self, self._index_of_coeffs([c % self.p for c in coeffs]))
-
-    def one(self):
-        return FieldElem(self, 1)
-
-    def nonzero_elements(self):
-        for idx in range(1, self.order):
-            yield FieldElem(self, idx)
+    def elem(self, x):
+        """The index of a coefficient given from outside: an int must already
+        be an index in [0, p^m); a tuple gives at most m int coefficients mod
+        p, constant term first.  Anything else is refused."""
+        if type(x) is int and 0 <= x < self.order:
+            return x
+        if type(x) is tuple and len(x) <= self.m and all(type(c) is int for c in x):
+            return self._index_of_coeffs([c % self.p for c in x])
+        raise RangeError("%r is neither an index in [0, %d) nor at most %d ints mod %d"
+                         % (x, self.order, self.m, self.p))
 
     def multiplicative_generator(self):
-        """First element in index order with full multiplicative order."""
-        return FieldElem(self, self._gen)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        """Index of the first element in index order with full multiplicative order."""
+        return self._gen
 
     def __repr__(self):
         return "GF(%d^%d)" % (self.p, self.m) if self.m > 1 else "GF(%d)" % self.p
@@ -273,34 +256,6 @@ def build_field(p, m):
         if _is_irreducible(cand, m, p):
             return FieldSpec(p, m, cand)
     raise InternalError("no irreducible polynomial found (internal error)")
-
-
-class FieldElem:
-    """An element of a FieldSpec, held as its index; arithmetic is the
-    FieldSpec's, on idx."""
-
-    __slots__ = ("owner", "idx")
-
-    def __init__(self, owner, idx):
-        self.owner = owner
-        self.idx = idx
-
-    @property
-    def coeffs(self):
-        return _digits(self.idx, self.owner.p, self.owner.m)
-
-    def __bool__(self):
-        return self.idx != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElem) and self.idx == other.idx
-                and self.owner == other.owner)
-
-    def __hash__(self):
-        return hash((self.owner.p, self.owner.m, self.idx))
-
-    def __repr__(self):
-        return "%r%r" % (list(self.coeffs), self.owner)
 
 
 def gauss_rank(rows, field):

@@ -3,9 +3,10 @@ coefficient field: validation, alpha invariants, associated Galois
 characters, and the Hom criterion.
 
 A module M(r, a, c) is stored as the integer vector r (Frobenius
-u-exponents, entries in [0, e']), the coefficient vector a (nonzero field
-elements), and the descent-character vector c (residues mod p^{f'} - 1),
-all of length f' and periodic with period dividing f.
+u-exponents, entries in [0, e']), the coefficient vector a (nonzero
+indices of GF(p^{f'}), see gfarith), and the descent-character vector c
+(residues mod p^{f'} - 1), all of length f' and periodic with period
+dividing f.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ from functools import cached_property, lru_cache
 from .errors import (CongruenceFailed, ContextMismatch, KindMismatch,
                      NotSupported, PeriodError, RangeError, ZeroCoefficient,
                      check)
-from .gfarith import FieldElem
 from .tametypes import CUSPIDAL, LocalContext
 
 
@@ -39,7 +39,7 @@ class RankOneBK:
         return self.ctx.coefficient_field(self.kind)
 
     def unram_product(self):
-        """Product of the a_i over f consecutive indices.
+        """Index of the product of the a_i over f consecutive indices.
 
         Periodicity makes the f'-fold product the square of the f-fold one
         in cuspidal contexts; character comparisons use the f-fold product.
@@ -47,8 +47,8 @@ class RankOneBK:
         field = self.field
         prod = 1
         for i in range(self.ctx.f):
-            prod = field.mul(prod, self.a[i].idx)
-        return FieldElem(field, prod)
+            prod = field.mul(prod, self.a[i])
+        return prod
 
     @cached_property
     def alpha_vector(self):
@@ -63,42 +63,41 @@ class RankOneBK:
 
 @dataclass(frozen=True)
 class GaloisChar:
-    """Tame character exponent (normalised at index 0) plus unramified part."""
+    """Tame character exponent (normalised at index 0) plus unramified part,
+    the index of the product of the a_i."""
 
     ekk: int
     tame_exp: int
-    unram: FieldElem
+    unram: int
 
 
 def validate(ctx, kind, r, a, c):
     """Check all structure invariants and return the module.
 
-    Requires: entries r_i in [0, e']; a_i nonzero in GF(p^{f'}), an int
-    a_i naming a prime-field element in [0, p); c_i residues mod
-    p^{f'} - 1; all three vectors periodic with period dividing f; and
-    p*c_{i-1} = c_i + r_i mod p^{f'} - 1 for every i.  Coerces and checks
-    the coefficients here; _module makes the integer checks.
+    Requires: int entries r_i in [0, e']; a_i nonzero in GF(p^{f'}), each
+    read by FieldSpec.elem (an int is an index in [0, p^{f'}), a tuple its
+    coefficients mod p); int c_i residues mod p^{f'} - 1; all three vectors
+    periodic with period dividing f; and p*c_{i-1} = c_i + r_i mod
+    p^{f'} - 1 for every i.  Reads and checks the coefficients here;
+    _module makes the integer checks.
     """
     fp = ctx.fprime(kind)
-    field = ctx.coefficient_field(kind)
-    r = tuple(int(x) for x in r)
-    c = tuple(int(x) for x in c)
-    a = tuple(field.elem(x) if isinstance(x, int) else x for x in a)
+    r, c = tuple(r), tuple(c)
+    if not all(type(x) is int for x in r + c):
+        raise RangeError("r and c entries must be ints")
+    a = tuple(map(ctx.coefficient_field(kind).elem, a))
     if not (len(r) == len(a) == len(c) == fp):
         raise RangeError("vectors must have length f' = %d" % fp)
-    for x in a:
-        if not isinstance(x, FieldElem) or x.owner != field:
-            raise ContextMismatch("coefficients must lie in %r" % field)
-        if not x:
-            raise ZeroCoefficient("coefficients must be nonzero")
+    if not all(a):
+        raise ZeroCoefficient("coefficients must be nonzero")
     return _module(ctx, kind, r, a, c)
 
 
 def _module(ctx, kind, r, a, c):
     """The module, after validate's integer checks: r and c ranges,
     periodicity of r, c and a, and the congruence.  Takes int tuples of
-    length f' and nonzero coefficients of the coefficient field, as the
-    module builders make them."""
+    length f' and nonzero coefficient indices, as the module builders make
+    them."""
     fp, f = ctx.fprime(kind), ctx.f
     ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
     if min(r) < 0 or max(r) > ep:
@@ -128,7 +127,7 @@ def random_module(ctx, kind, rng):
         base = (ctx.p * c[(i - 1) % fp] - c[i]) % ekk
         r_half.append(rng.choice(range(base, ep + 1, ekk)))
     r = tuple(r_half[i % f] for i in range(fp))
-    a_half = [FieldElem(field, 1 + rng.below(field.order - 1)) for _ in range(f)]
+    a_half = [1 + rng.below(field.order - 1) for _ in range(f)]
     a = tuple(a_half[i % f] for i in range(fp))
     return _module(ctx, kind, r, a, c)
 
@@ -139,12 +138,12 @@ def exhaustive_modules(ctx, kind):
         raise NotSupported("exhaustive sweeps are desk-scale: f = 1 only")
     fp = ctx.fprime(kind)
     ekk, ep = ctx.ekk(kind), ctx.eprime(kind)
-    field = ctx.coefficient_field(kind)
+    q = ctx.coefficient_field(kind).order
     mods = []
     for c0 in range(ekk):
         base = (ctx.p * c0 - c0) % ekk
         for r0 in range(base, ep + 1, ekk):
-            for a in field.nonzero_elements():
+            for a in range(1, q):
                 mods.append(_module(ctx, kind, (r0,) * fp, (a,) * fp, (c0,) * fp))
     return mods
 

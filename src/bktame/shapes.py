@@ -207,7 +207,7 @@ def build_MN(tau, refined):
     r = tuple([ekk * y[i % f] - ((c[i] - d[i]) % ekk if i in trans else 0)
                for i in range(fp)])
     s = tuple([ep - ri for ri in r])
-    ones = (ctx.coefficient_field(kind).one(),) * fp
+    ones = (1,) * fp
     m = _module(ctx, kind, r, ones, c)
     n = _module(ctx, kind, s, ones, d)
     kv, kpv = tau.kvec, tau.kpvec
@@ -244,11 +244,11 @@ def _oracle_system(m, n):
     both coefficient vectors as indices divided by the unit m.a[0], which
     scales the whole matrix and so changes no rank."""
     f, ekk, field = m.ctx.f, m.ekk, m.field
-    unit = field.inv(m.a[0].idx)
+    unit = field.inv(m.a[0])
     return (m.ctx, m.kind, m.r[:f], n.r[:f],
             tuple((m.c[i] - n.c[i]) % ekk for i in range(f)),
-            tuple(field.mul(x.idx, unit) for x in m.a[:f]),
-            tuple(field.mul(x.idx, unit) for x in n.a[:f]))
+            tuple(field.mul(x, unit) for x in m.a[:f]),
+            tuple(field.mul(x, unit) for x in n.a[:f]))
 
 
 def _complex_matrix(system, level):
@@ -332,7 +332,8 @@ def _oracle_solve(system, level):
 
 def kext_dim(tau, J, prod_a, prod_b):
     """Closed-form dimension of the kernel of Ext^1 -> Ext^1[1/u] for the
-    maximal pair of the shape, with prescribed unramified products.
+    maximal pair of the shape, with prescribed unramified products, each
+    read by FieldSpec.elem of the type's coefficient field.
 
     Counts transitions (i-1, i) with vanishing twisted digit among
     i = 0..f-1 (Shape.kext_count); when e = 1, the products agree, and the
@@ -340,11 +341,7 @@ def kext_dim(tau, J, prod_a, prod_b):
     """
     count = _to_shape(tau, J).kext_count
     field = tau.ctx.coefficient_field(tau.kind)
-    if isinstance(prod_a, int):
-        prod_a = field.elem(prod_a)
-    if isinstance(prod_b, int):
-        prod_b = field.elem(prod_b)
-    if tau.ctx.e == 1 and prod_a == prod_b and count == tau.ctx.f:
+    if field.elem(prod_a) == field.elem(prod_b) and tau.ctx.e == 1 and count == tau.ctx.f:
         return tau.ctx.f - 1
     return count
 

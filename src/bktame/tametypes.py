@@ -32,6 +32,8 @@ class LocalContext:
     e: int
 
     def __post_init__(self):
+        if not all(type(x) is int for x in (self.p, self.f, self.e)):
+            raise NotSupported("p, f and e must be ints, got %r" % ((self.p, self.f, self.e),))
         if not is_prime(self.p):
             raise NotPrime("p = %d is not prime" % self.p)
         if self.p == 2:

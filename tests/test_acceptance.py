@@ -85,7 +85,7 @@ def test_criterion_3_kext_equivalence_and_vanishing():
                         assert v_eq == kext_dim_oracle(m, n)
                         n_g = validate(ctx, tau.kind, n.r,
                                        (gen,) * tau.fprime, n.c)
-                        v_ne = kext_dim(tau, shape, field.one(), gen)
+                        v_ne = kext_dim(tau, shape, 1, gen)
                         assert v_ne == kext_dim_oracle(m, n_g)
                         bound = math.ceil(e / (p - 1)) * f
                         assert v_eq <= bound and v_ne <= bound

@@ -306,8 +306,7 @@ def test_json_render_matches_json_dumps():
     assert cli.render(report, "json") == reference(report) + "\n"
     report["items"] = iter(())
     assert cli.render(report, "json") == reference(dict(report, items=[])) + "\n"
-    field_elem = LocalContext(3, 1, 1).coefficient_field("ps").one()
-    for bad in (1.5, [0.0], {"x": {1, 2}}, {1, 2}, field_elem, {"m": [field_elem]}, {1: 2}):
+    for bad in (1.5, [0.0], {"x": {1, 2}}, {1, 2}, {1: 2}):
         with pytest.raises(TypeError):
             cli._json(bad, "")
 
@@ -480,9 +479,9 @@ def test_oracle_pair_sweep_solves_each_distinct_system_once(monkeypatch):
     systems = set()
     for m, n in pairs:
         field, ekk = m.field, m.ekk
-        unit = field.inv(m.a[0].idx)
+        unit = field.inv(m.a[0])
         systems.add((m.kind, m.r[0], n.r[0], (m.c[0] - n.c[0]) % ekk,
-                     field.mul(n.a[0].idx, unit)))
+                     field.mul(n.a[0], unit)))
     # levels L and L + 1 of each distinct system, built once
     assert len(builds) == 2 * len(systems) < 2 * len(pairs)
 

@@ -30,14 +30,33 @@ def test_validate_error_cases():
         validate(CTX, PS, (2,), (1,), (3,))  # c not reduced mod 2
 
 
+def test_validate_refuses_non_int_r_and_c():
+    # int() would truncate 2.7 and 1.2 to the valid module r=(2,), c=(1,)
+    for r, c in [((2.7,), (1,)), ((2,), (1.2,)), (("x",), (1,)), ((2,), (None,))]:
+        with pytest.raises(RangeError):
+            validate(CTX, PS, r, (1,), c)
+
+
+def test_a_coefficient_is_an_index_of_the_modules_own_field():
+    # cuspidal modules at p=3, f=1 have coefficients in GF(9): 4 is the index
+    # of 1 + x, not 4 mod 3
+    m = validate(CTX, CUSPIDAL, (6, 6), (4, 4), (3, 3))
+    assert m.a == (4, 4) and m.unram_product() == 4 == galois_char(m).unram
+    assert validate(CTX, CUSPIDAL, (6, 6), ((1, 1), (1, 1)), (3, 3)) == m
+    with pytest.raises(ZeroCoefficient):
+        validate(CTX, CUSPIDAL, (6, 6), (0, 0), (3, 3))
+    with pytest.raises(RangeError):
+        validate(CTX, CUSPIDAL, (6, 6), (9, 9), (3, 3))
+
+
 def test_validate_error_types_and_order():
-    gf9 = build_field(3, 2).one()
-    with pytest.raises(ContextMismatch):
-        validate(CTX, PS, (2,), (gf9,), (1,))  # a GF(9) coefficient in GF(3)
+    # index 4 and the tuple (1, 1) name GF(9) elements; an index carries no
+    # field, so in a GF(3) module both are out of range
+    for gf9 in (4, (1, 1)):
+        with pytest.raises(RangeError):
+            validate(CTX, PS, (2,), (gf9,), (1,))
     with pytest.raises(RangeError):
         validate(CTX, PS, (2, 2), (1,), (1,))  # wrong vector length
-    with pytest.raises(RangeError):
-        validate(CTX, PS, (2, 2), (gf9,), (1,))  # the length is checked first
     with pytest.raises(PeriodError):
         validate(CTX, CUSPIDAL, (2, 2), (1, 2), (1, 1))  # a alone is not periodic
     with pytest.raises(RangeError):
@@ -52,11 +71,10 @@ def test_alpha_examples():
 
 
 def test_galois_char_examples():
-    F3 = build_field(3, 1)
     ch = galois_char(validate(CTX, PS, (2,), (1,), (1,)))
-    assert ch.tame_exp == 0 and ch.unram == F3.one()
+    assert ch.tame_exp == 0 and ch.unram == 1
     ch2 = galois_char(validate(CTX, PS, (0,), (1,), (0,)))
-    assert ch2.tame_exp == 0 and ch2.unram == F3.one()
+    assert ch2.tame_exp == 0 and ch2.unram == 1
     cusp = validate(CTX, CUSPIDAL, (6, 6), (1, 1), (3, 3))
     ch3 = galois_char(cusp)
     assert ch3.tame_exp == 0  # alpha_0 = (3*6+6)/8 = 3 and c_0 = 3
@@ -138,9 +156,7 @@ def test_twist_conjugate_is_an_index_shift():
     # r = (2, 6) goes to (6, 2) and a second shift restores it
     from bktame.rankone import RankOneBK
 
-    F9 = build_field(3, 2)
-    one = F9.one()
-    raw = RankOneBK(CTX, CUSPIDAL, (2, 6), (one, one), (1, 3))
+    raw = RankOneBK(CTX, CUSPIDAL, (2, 6), (1, 1), (1, 3))
     t = twist_conjugate(raw)
     assert t.r == (6, 2) and t.c == (3, 1)
     assert twist_conjugate(t) == raw

@@ -37,6 +37,14 @@ def test_context_caps():
     assert repr(ctx) == "LocalContext(p=3, f=2, e=2)"
 
 
+@pytest.mark.parametrize("p,f,e", [(3, 1, 1.5), (3.0, 1, 1), ("3", 1, 1), (3, True, 1)])
+def test_context_refuses_non_int_parameters(p, f, e):
+    # a float e would give a float e', and a float or str p a bare
+    # TypeError from the primality test
+    with pytest.raises(NotSupported):
+        LocalContext(p, f, e)
+
+
 def test_make_type_examples():
     ctx = ctx31()
     tau = make_type(ctx, PS, 1, 0)
@@ -159,8 +167,8 @@ def test_gamma_digits_checks_survive_python_O():
          "zero digits iff scalar"),
         # a module built directly, bypassing validate, with r = 1 at p = 3,
         # f = 1: the alpha numerator 1 is not divisible by p - 1 = 2
-        ("from bktame import PS, LocalContext, RankOneBK, alpha, build_field\n"
-         "alpha(RankOneBK(LocalContext(3, 1, 1), PS, (1,), (build_field(3, 1).one(),), (0,)))\n",
+        ("from bktame import PS, LocalContext, RankOneBK, alpha\n"
+         "alpha(RankOneBK(LocalContext(3, 1, 1), PS, (1,), (1,), (0,)))\n",
          "alpha numerator not divisible"),
         # a cuspidal type with exponents (0, 2), built directly: its digits
         # pass gamma_digits, but the admissible shape {1} gives a det
