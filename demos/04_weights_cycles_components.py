@@ -24,7 +24,7 @@ print("\nvanishing pattern and divisor supports of cusp:1:")
 for J in ({0}, {1}):
     pat = dieudonne_pattern(tau_c, J)
     print("  J=%s: %s, divisor support %s"
-          % (sorted(J), [tag for tag, _, _ in pat.entries],
+          % (sorted(J), [tag for tag, _, _ in pat],
              sorted(divisor_support(tau_c, J))))
 print("component labels:", components_count(tau_c))
 

@@ -20,9 +20,9 @@ from .gfarith import _digits
 from .rankone import (RankOneBK, exhaustive_modules, galois_char, hom_dim,
                       random_module)
 from .rng import SplitMix64
-from .shapes import (_ext_beyond_hom, build_MN, family_dim, is_admissible,
-                     kext_dim, kext_dim_oracle, maximal_refined, oracle_dims,
-                     p_tau, refined_count, shapes_for)
+from .shapes import (build_MN, ext_dim, family_dim, is_admissible, kext_dim,
+                     kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
+                     refined_count, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, enumerate_types,
                         gamma_digits, make_type)
 from .weights import (Cycle, all_weights, c_sigma_cycle, char_TN,
@@ -73,15 +73,21 @@ def _cycle_json(cycle):
 
 
 def cmd_types(ctx, args):
+    p = ctx.p
     for tau in _selected_types(ctx, args):
+        gamma, fp, ekk = gamma_digits(tau), tau.fprime, tau.ekk
+        kv, kpv = tau.kvec, tau.kpvec
+        # gamma's defining identity: sum_j p^j gamma[i - j] = [k_i - k'_i]
+        ok = all(sum(p ** j * gamma[(i - j) % fp] for j in range(fp)) == (kv[i] - kpv[i]) % ekk
+                 for i in range(fp))
         yield {
             "key": tau.label(),
             "kind": tau.kind,
             "k0": tau.k0,
             "k0p": tau.k0p,
             "scalar": tau.is_scalar,
-            "gamma": list(gamma_digits(tau)),
-            "ok": True,
+            "gamma": list(gamma),
+            "ok": ok,
         }
 
 
@@ -158,8 +164,7 @@ def _module_json(m):
 
 def _pair_items(kind, pairs, trunc):
     for idx, (m, n) in enumerate(pairs):
-        hv = hom_dim(m, n)
-        ev = hv + _ext_beyond_hom(m, n)
+        hv, ev = hom_dim(m, n), ext_dim(m, n)
         ov, oh = oracle_dims(m, n, trunc)
         yield {
             "key": "%s|pair%06d" % (kind, idx),
@@ -188,14 +193,16 @@ def cmd_oracle(ctx, args):
     for tau in enumerate_types(ctx, canonical=True):
         if tau.is_scalar:
             continue
-        gen = ctx.coefficient_field(tau.kind).multiplicative_generator()
-        label = tau.label()
+        twist_a = (ctx.coefficient_field(tau.kind).multiplicative_generator(),) * tau.fprime
+        label, prod_ne = tau.label(), None
         for shape in shapes_for(tau):
             m, n = build_MN(tau, maximal_refined(tau, shape))
             # n with every coefficient gen: its r and c are already validated
-            n_twist = RankOneBK(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
+            n_twist = RankOneBK(ctx, tau.kind, n.r, twist_a, n.c)
+            if prod_ne is None:   # every shape's n_twist has the coefficients twist_a
+                prod_ne = n_twist.unram_product()
             prefix = "kext|%s|J=%s|" % (label, _shape_str(shape.J))
-            for tag, prod_b, nn in (("eq", 1, n), ("ne", gen, n_twist)):
+            for tag, prod_b, nn in (("eq", 1, n), ("ne", prod_ne, n_twist)):
                 kv = kext_dim(tau, shape, 1, prod_b)
                 ko = kext_dim_oracle(m, nn)
                 yield {
@@ -263,7 +270,7 @@ def cmd_components(ctx, args):
                 "key": "%s|J=%s" % (tau.label(), _shape_str(shape.J)),
                 "type": tau.label(),
                 "J": sorted(shape.J),
-                "pattern": [list(entry) for entry in pattern.entries],
+                "pattern": [list(entry) for entry in pattern],
                 "divisor_support": sorted(support),
                 "ok": True,
             }
@@ -273,11 +280,14 @@ def cmd_components(ctx, args):
             "components": len(supports),
             "ok": len(supports) == components_count(tau),
         }
+        # Z(tau) must be the Jordan-Holder set of the type's reduction, by the
+        # Brauer-character oracle, as in bm's ztau rows
+        cyc = z_tau_cycle(tau)
         yield {
             "key": "%s|cycle" % tau.label(),
             "type": tau.label(),
-            "cycle": _cycle_json(z_tau_cycle(tau)),
-            "ok": True,
+            "cycle": _cycle_json(cyc),
+            "ok": weights_character(cyc.mult) == jh_oracle(tau),
         }
 
 
@@ -395,9 +405,14 @@ def build_parser():
         cmd = sub.add_parser(name)
         cmd.add_argument("-p", type=int, required=True)
         cmd.add_argument("-f", type=int, required=True)
-        cmd.add_argument("-e", type=int, default=1)
         cmd.add_argument("--format", choices=("json", "csv", "text"), default="json")
         cmd.add_argument("--out", default=None)
+        # the rows of types, bm and components read only p and f; their
+        # reports say e = 1
+        if name in ("oracle", "ptau", "weights"):
+            cmd.add_argument("-e", type=int, default=1)
+        else:
+            cmd.set_defaults(e=1)
         if name not in ("oracle", "bm"):
             cmd.add_argument("--type", default=None,
                              help="ps:<k0>,<k0p> | cusp:<k0> | scalar:<k0>")

@@ -66,7 +66,6 @@ class GaloisChar:
     """Tame character exponent (normalised at index 0) plus unramified part,
     the index of the product of the a_i."""
 
-    ekk: int
     tame_exp: int
     unram: int
 
@@ -176,7 +175,7 @@ def galois_char(mod):
     """Associated Galois character: tame exponent c_0 - alpha_0, unramified
     part the product of the a_i over i = 0..f-1."""
     al = mod.alpha_vector
-    return GaloisChar(mod.ekk, (mod.c[0] - al[0]) % mod.ekk, mod.unram_product())
+    return GaloisChar((mod.c[0] - al[0]) % mod.ekk, mod.unram_product())
 
 
 def _same_frame(m, n):

@@ -216,22 +216,16 @@ def build_MN(tau, refined):
     return m, n
 
 
-def _ext_beyond_hom(m, n):
-    """dim Ext^1(M, N) - dim Hom(M, N): per index, the count of degrees in
-    [0, r_i) congruent to r_i + c_i - d_i mod p^{f'} - 1."""
-    _same_frame(m, n)
+def ext_dim(m, n):
+    """Closed-form dim Ext^1(M, N): dim Hom(M, N) plus, per index i < f,
+    the count of degrees in [0, r_i) congruent to r_i + c_i - d_i mod
+    p^{f'} - 1."""
     ekk = m.ekk
-    total = 0
+    total = hom_dim(m, n)   # checks the frame
     for i in range(m.ctx.f):
         residue = (m.r[i] + m.c[i] - n.c[i]) % ekk
         total += max(0, (m.r[i] - residue + ekk - 1) // ekk)
     return total
-
-
-def ext_dim(m, n):
-    """Closed-form dim Ext^1(M, N): Hom contribution plus, per index, the
-    count of admissible degrees below r_i."""
-    return hom_dim(m, n) + _ext_beyond_hom(m, n)
 
 
 def _default_trunc(ctx):

@@ -8,6 +8,7 @@ f and digits in [0, p-1], t never all p-1; two det-twists are identified
 when sum t_j p^j agrees mod p^f - 1.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,17 +105,20 @@ def char_TN(tau, J):
     return exp
 
 
-@dataclass(frozen=True)
-class DieudonnePattern:
-    entries: tuple  # per index: (case tag, F value, V value)
-
-    def __post_init__(self):
-        for _tag, fval, vval in self.entries:
-            check((fval == ZERO) != (vval == ZERO), "exactly one of F and V must vanish")
+# (j in J, j + 1 in J) -> (case tag, F value, V value)
+_DIEUDONNE = {
+    (True, True): (BOTH_IN, ZERO, UNIT),
+    (False, False): (BOTH_OUT, UNIT, ZERO),
+    (True, False): (OUT_OF_J, GENERIC, ZERO),
+    (False, True): (INTO_J, ZERO, GENERIC),
+}
+check(all((fval == ZERO) != (vval == ZERO) for _, fval, vval in _DIEUDONNE.values()),
+      "exactly one of F and V must vanish")
 
 
 def dieudonne_pattern(tau, J):
-    """Per-index vanishing of F: D_j -> D_{j+1} and V: D_{j+1} -> D_j.
+    """Per-index vanishing of F: D_j -> D_{j+1} and V: D_{j+1} -> D_j, as
+    one (case tag, F value, V value) per index j < f'.
 
     Within J the Frobenius vanishes and V is a unit; outside J the roles
     swap; at a boundary the non-vanishing operator carries the lowest
@@ -128,18 +132,7 @@ def dieudonne_pattern(tau, J):
     if tau.is_scalar:
         raise ScalarType("vanishing patterns ask for a nonscalar type")
     Jset, fp = _to_shape(tau, J).J, tau.fprime
-    entries = []
-    for j in range(fp):
-        jin, nin = j in Jset, (j + 1) % fp in Jset
-        if jin and nin:
-            entries.append((BOTH_IN, ZERO, UNIT))
-        elif not jin and not nin:
-            entries.append((BOTH_OUT, UNIT, ZERO))
-        elif jin:
-            entries.append((OUT_OF_J, GENERIC, ZERO))
-        else:
-            entries.append((INTO_J, ZERO, GENERIC))
-    return DieudonnePattern(tuple(entries))
+    return tuple(_DIEUDONNE[j in Jset, (j + 1) % fp in Jset] for j in range(fp))
 
 
 def divisor_support(tau, J):
@@ -189,16 +182,9 @@ def z_tau_cycle(tau):
 def all_weights(ctx):
     """Every non-Steinberg weight, ordered by (t, s)."""
     p, f = ctx.p, ctx.f
-    qm1 = p ** f - 1
-    out = []
-    for tval in range(qm1):
-        t = _digits(tval, p, f)
-        for sval in range(p ** f):
-            s = _digits(sval, p, f)
-            if all(x == p - 1 for x in s):
-                continue
-            out.append(SerreWeight(p, f, t, s))
-    return sorted(out, key=lambda w: (w.t, w.s))
+    # digit vectors in tuple order, less the last one, all p - 1
+    vectors = list(itertools.product(range(p), repeat=f))[:-1]
+    return [SerreWeight(p, f, t, s) for t in vectors for s in vectors]
 
 
 @lru_cache(maxsize=None)

@@ -82,6 +82,23 @@ def test_types_ordered_lists_pairs():
     assert len(ps) == 4
 
 
+def test_types_row_fails_on_a_wrong_digit(monkeypatch):
+    # flip one digit of one type's gamma: only that type's row, which checks
+    # gamma's defining identity, can see it
+    gamma_digits = cli.gamma_digits
+
+    def flipped(tau):
+        gamma = gamma_digits(tau)
+        if tau.label() == "ps:1,0":
+            return ((gamma[0] + 1) % tau.ctx.p,) + gamma[1:]
+        return gamma
+
+    monkeypatch.setattr(cli, "gamma_digits", flipped)
+    report, code = run_json(["types", "-p", "3", "-f", "2"])
+    assert code == 1
+    assert [it["key"] for it in report["items"] if not it["ok"]] == ["ps:1,0"]
+
+
 @pytest.mark.parametrize("argv, message", [
     ("types -p 2 -f 1", "p must be odd"),
     ("ptau -p 3 -f 1 --type cusp:4", "bad type selector"),
@@ -96,18 +113,18 @@ def test_bad_input_exits_2(argv, message):
     assert code == 2 and message in text
 
 
-# the options each command reads, besides -p, -f, -e, --format and --out
-COMMON_OPTIONS = ("-p", "-f", "-e", "--format", "--out")
+# the options each command reads, besides -p, -f, --format and --out
+COMMON_OPTIONS = ("-p", "-f", "--format", "--out")
 READS = {
     "types": ("--type", "--ordered"),
-    "ptau": ("--type", "--ordered"),
-    "weights": ("--type", "--ordered"),
+    "ptau": ("-e", "--type", "--ordered"),
+    "weights": ("-e", "--type", "--ordered"),
     "components": ("--type", "--ordered"),
-    "oracle": ("--exhaustive", "--samples", "--seed", "--trunc"),
+    "oracle": ("-e", "--exhaustive", "--samples", "--seed", "--trunc"),
     "bm": ("--seed",),
 }
 # a value each option accepts
-OPTION_ARGS = {"--type": ["cusp:1"], "--ordered": [], "--exhaustive": [],
+OPTION_ARGS = {"-e": ["2"], "--type": ["cusp:1"], "--ordered": [], "--exhaustive": [],
                "--samples": ["0"], "--seed": ["3"], "--trunc": ["4"]}
 
 
@@ -123,7 +140,18 @@ def test_each_command_accepts_exactly_the_options_it_reads():
         settable[name] = sorted(opt for action in cmd._actions for opt in action.option_strings
                                 if opt not in ("-h", "--help"))
     assert settable == {name: sorted(COMMON_OPTIONS + READS[name]) for name in READS}
-    assert sum(len(opts) for opts in settable.values()) == 43
+    assert sum(len(opts) for opts in settable.values()) == 40
+
+
+@pytest.mark.parametrize("command", ["types", "bm", "components"])
+@pytest.mark.parametrize("f", [1, 2])
+def test_rows_of_commands_without_e_do_not_depend_on_e(command, f):
+    # the evidence for refusing -e on these commands: their rows are the
+    # same at every e, and run gives them LocalContext(p, f, 1)
+    args = cli.build_parser().parse_args([command, "-p", "3", "-f", str(f)])
+    assert args.e == 1
+    rows = [list(cli.COMMANDS[command](LocalContext(3, f, e), args)) for e in (1, 2, 3)]
+    assert rows[0] and rows[0] == rows[1] == rows[2]
 
 
 @pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in READS[c]],
@@ -250,7 +278,7 @@ def test_every_shape_argument_passes_the_one_gate():
 # Hom of _kext_solve, until a brute-force solve replaces it (ROADMAP item 4).
 _ORACLE_SOLVES = ("_complex_matrix", "_dims_at_level", "_nullities", "_oracle_solve",
                   "_kext_solve")
-_CLOSED_FORMS = ("hom_dim", "ext_dim", "_ext_beyond_hom", "kext_dim", "kext_count",
+_CLOSED_FORMS = ("hom_dim", "ext_dim", "kext_dim", "kext_count",
                  "gamma_star", "same_generic_fibre", "galois_char", "galois_character",
                  "alpha_vector")
 
@@ -618,6 +646,23 @@ def test_components_report():
     assert code == 0
     counts = [it for it in report["items"] if it["key"].endswith("count")]
     assert counts[0]["components"] == 2
+
+
+def test_components_cycle_row_fails_on_a_dropped_weight(monkeypatch):
+    # drop one weight from one type's Z(tau): only that type's cycle row,
+    # which compares Z(tau) with the Brauer-character oracle, can see it
+    z_tau_cycle = cli.z_tau_cycle
+
+    def dropped(tau):
+        cyc = z_tau_cycle(tau)
+        if tau.label() == "cusp:1":
+            del cyc.mult[min(cyc.mult, key=lambda w: (w.t, w.s))]
+        return cyc
+
+    monkeypatch.setattr(cli, "z_tau_cycle", dropped)
+    report, code = run_json(["components", "-p", "3", "-f", "2"])
+    assert code == 1
+    assert [it["key"] for it in report["items"] if not it["ok"]] == ["cusp:1|cycle"]
 
 
 def test_csv_and_text_render():

@@ -307,7 +307,7 @@ def _kext_pairs(p, f, e):
             m, n = build_MN(tau, maximal_refined(tau, shape))
             n_g = validate(ctx, tau.kind, n.r, (gen,) * tau.fprime, n.c)
             yield m, n, kext_dim(tau, shape, 1, 1)
-            yield m, n_g, kext_dim(tau, shape, 1, gen)
+            yield m, n_g, kext_dim(tau, shape, 1, n_g.unram_product())
 
 
 def _clear_memos():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bktame import (CUSPIDAL, PS, Cycle, LocalContext, NotInPTau,
@@ -7,6 +9,7 @@ from bktame import (CUSPIDAL, PS, Cycle, LocalContext, NotInPTau,
                     enumerate_types, galois_char, jh_factors, make_type,
                     maximal_refined, p_tau, shapes_for, sigma_tau_J,
                     solve_n_tau, verify_orthogonality, z_tau_cycle)
+from bktame import weights
 from bktame.weights import BOTH_IN, BOTH_OUT, GENERIC, INTO_J, UNIT, ZERO
 
 CTX = LocalContext(3, 1, 1)
@@ -114,13 +117,29 @@ def test_char_TN_injective_on_admissible_shapes():
 
 def test_dieudonne_pattern_examples():
     pat = dieudonne_pattern(TAU_PS, {0})
-    assert pat.entries == ((BOTH_IN, ZERO, UNIT),)
+    assert pat == ((BOTH_IN, ZERO, UNIT),)
     pat2 = dieudonne_pattern(TAU_PS, frozenset())
-    assert pat2.entries == ((BOTH_OUT, UNIT, ZERO),)
+    assert pat2 == ((BOTH_OUT, UNIT, ZERO),)
     pat3 = dieudonne_pattern(TAU_C, {1})
-    assert pat3.entries[0] == (INTO_J, ZERO, GENERIC)
+    assert pat3[0] == (INTO_J, ZERO, GENERIC)
     with pytest.raises(ScalarType):
         dieudonne_pattern(make_type(CTX, PS, 1, 1), frozenset())
+
+
+def test_dieudonne_table_has_one_vanishing_operator_per_entry():
+    assert sorted(weights._DIEUDONNE) == sorted(itertools.product((False, True), repeat=2))
+    for _tag, fval, vval in weights._DIEUDONNE.values():
+        assert [fval, vval].count(ZERO) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_all_weights_matches_a_sorted_brute_force(p, f):
+    # every base-p digit vector but the all-(p - 1) one, constant digit first
+    vectors = [tuple(v // p ** j % p for j in range(f)) for v in range(p ** f - 1)]
+    reference = sorted((SerreWeight(p, f, t, s) for t in vectors for s in vectors),
+                       key=lambda w: (w.t, w.s))
+    assert all_weights(LocalContext(p, f, 1)) == reference
 
 
 def test_divisor_support_examples():
