@@ -1,11 +1,10 @@
 """Serre weights of a type, descent characters, vanishing patterns and
 component labels, and the integer cycle decomposition of every weight."""
 
-from bktame import (CUSPIDAL, PS, Cycle, LocalContext, all_weights,
-                    c_sigma_cycle, char_TN, components_count,
-                    dieudonne_pattern, divisor_support, jh_factors,
-                    make_type, p_tau, sigma_tau_J, solve_n_tau,
-                    verify_orthogonality, z_tau_cycle)
+from bktame import (CUSPIDAL, PS, LocalContext, all_weights, c_sigma_cycle,
+                    char_TN, components_count, dieudonne_pattern,
+                    divisor_support, jh_factors, make_type, p_tau,
+                    sigma_tau_J, solve_n_tau, verify_orthogonality)
 
 ctx = LocalContext(3, 1, 1)
 tau = make_type(ctx, PS, 1, 0)
@@ -32,7 +31,8 @@ print("\ninteger decomposition of every non-Steinberg weight:")
 for w in all_weights(ctx):
     n = solve_n_tau(ctx, w)
     terms = " ".join("%+d[%s]" % (v, t.label()) for t, v in n.items())
-    unit = c_sigma_cycle(n) == Cycle.unit(w)
+    unit = c_sigma_cycle(n) == {w: 1}
     print("  %s = %s  (unit cycle: %s)" % (w.label(), terms, unit))
 print("orthogonality of the full system:", verify_orthogonality(ctx))
-print("type cycle of ps:1,0:", z_tau_cycle(tau))
+print("type cycle of ps:1,0 (multiplicity one):",
+      sorted(w.label() for w in jh_factors(tau)))

@@ -11,8 +11,7 @@ from .errors import (BadResidue, BKError, CongruenceFailed,
                      PeriodError, RangeError, ScalarType, SteinbergWeight,
                      TruncationUnstable, ZeroCoefficient)
 from .gfarith import FieldSpec, build_field
-from .rankone import (RankOneBK, alpha, exhaustive_modules, galois_char,
-                      hom_dim, random_module, same_generic_fibre,
+from .rankone import (RankOneBK, exhaustive_modules, hom_dim, random_module,
                       twist_conjugate, validate)
 from .rng import SplitMix64
 from .shapes import (RefinedShape, Shape, build_MN, ext_dim, family_dim,
@@ -21,9 +20,9 @@ from .shapes import (RefinedShape, Shape, build_MN, ext_dim, family_dim,
                      refined_shapes, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, TameType,
                         enumerate_types, gamma_digits, make_type)
-from .weights import (Cycle, SerreWeight, all_weights, c_sigma_cycle,
-                      char_TN, components_count, dieudonne_pattern,
-                      divisor_support, jh_factors, sigma_tau_J, solve_n_tau,
-                      verify_orthogonality, z_tau_cycle)
+from .weights import (SerreWeight, all_weights, c_sigma_cycle, char_TN,
+                      components_count, dieudonne_pattern, divisor_support,
+                      jh_factors, sigma_tau_J, solve_n_tau,
+                      verify_orthogonality)
 
 __version__ = "0.1.0"

@@ -17,17 +17,16 @@ from operator import itemgetter
 from . import errors
 from .brauer import jh_oracle, weights_character
 from .gfarith import _digits
-from .rankone import (RankOneBK, exhaustive_modules, galois_char, hom_dim,
-                      random_module)
+from .rankone import RankOneBK, exhaustive_modules, hom_dim, random_module
 from .rng import SplitMix64
 from .shapes import (build_MN, ext_dim, family_dim, is_admissible, kext_dim,
                      kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
                      refined_count, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, enumerate_types,
                         gamma_digits, make_type)
-from .weights import (Cycle, all_weights, c_sigma_cycle, char_TN,
-                      components_count, dieudonne_pattern, divisor_support,
-                      sigma_tau_J, solve_n_tau, z_tau_cycle)
+from .weights import (all_weights, c_sigma_cycle, char_TN, components_count,
+                      dieudonne_pattern, divisor_support, jh_factors,
+                      sigma_tau_J, solve_n_tau)
 
 _WRITE_SLICE = 1 << 20   # characters per write of a report
 
@@ -67,9 +66,10 @@ def _weight_json(w):
     return {"t": list(w.t), "s": list(w.s)}
 
 
-def _cycle_json(cycle):
-    return [{"weight": _weight_json(w), "mult": m}
-            for w, m in sorted(cycle.mult.items(), key=lambda kv: (kv[0].t, kv[0].s))]
+def _cycle_json(weights):
+    """The multiplicity-one cycle of the weights, in (t, s) order."""
+    return [{"weight": _weight_json(w), "mult": 1}
+            for w in sorted(weights, key=lambda w: (w.t, w.s))]
 
 
 def cmd_types(ctx, args):
@@ -132,7 +132,7 @@ def cmd_weights(ctx, args):
             weights.append(w)
             exp_formula = char_TN(tau, shape)
             _, n = build_MN(tau, maximal_refined(tau, shape))
-            exp_alpha = galois_char(n).tame_exp
+            exp_alpha = n.galois_character.tame_exp
             yield {
                 "key": "%s|J=%s" % (tau.label(), _shape_str(shape.J)),
                 "type": tau.label(),
@@ -180,6 +180,8 @@ def _pair_items(kind, pairs, trunc):
 def cmd_oracle(ctx, args):
     if args.samples < 0:
         raise errors.RangeError("--samples must be at least 0, got %d" % args.samples)
+    if args.trunc is not None and args.trunc < 1:
+        raise errors.RangeError("truncation level must be at least 1, got %d" % args.trunc)
     rng = SplitMix64(args.seed)
     for kind in (PS, CUSPIDAL):
         if args.exhaustive:
@@ -220,7 +222,7 @@ def cmd_bm(ctx, args):
     for w in all_weights(ctx):
         n = solve_n_tau(ctx, w)
         cyc = c_sigma_cycle(n)
-        unit = Cycle.unit(w)
+        unit = {w: 1}
         n_perm = solve_n_tau(ctx, w, permute_seed=args.seed or 1)
         cyc_perm = c_sigma_cycle(n_perm)
         unit_cycles &= cyc == unit
@@ -237,7 +239,7 @@ def cmd_bm(ctx, args):
     # the orthogonality row: w is the cycle of w's decomposition for every w
     yield {"key": "orthogonality", "ok": unit_cycles}
     for tau in enumerate_types(ctx, canonical=True):
-        cyc = z_tau_cycle(tau)
+        z = jh_factors(tau)
         # Z(tau) has multiplicity one, so the character of its weights is its
         # character.  The weight rows check sum_tau n_tau Z(tau) = [w] and
         # characters are additive, so when both kinds of row pass,
@@ -246,8 +248,8 @@ def cmd_bm(ctx, args):
         yield {
             "key": "ztau|%s" % tau.label(),
             "type": tau.label(),
-            "cycle": _cycle_json(cyc),
-            "ok": weights_character(cyc.mult) == jh_oracle(tau),
+            "cycle": _cycle_json(z),
+            "ok": weights_character(z) == jh_oracle(tau),
         }
 
 
@@ -282,12 +284,12 @@ def cmd_components(ctx, args):
         }
         # Z(tau) must be the Jordan-Holder set of the type's reduction, by the
         # Brauer-character oracle, as in bm's ztau rows
-        cyc = z_tau_cycle(tau)
+        z = jh_factors(tau)
         yield {
             "key": "%s|cycle" % tau.label(),
             "type": tau.label(),
-            "cycle": _cycle_json(cyc),
-            "ok": weights_character(cyc.mult) == jh_oracle(tau),
+            "cycle": _cycle_json(z),
+            "ok": weights_character(z) == jh_oracle(tau),
         }
 
 
@@ -447,8 +449,11 @@ def run(argv):
         return "error: %s\n" % exc, 2
     print("elapsed: %dms" % int(1000 * (time.time() - started)), file=sys.stderr)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            _write(handle, text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                _write(handle, text)
+        except OSError as exc:
+            return "error: cannot write %s: %s\n" % (args.out, exc.strerror), 2
     return text, (0 if report["summary"]["fail"] == 0 else 1)
 
 

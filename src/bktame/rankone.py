@@ -52,13 +52,20 @@ class RankOneBK:
 
     @cached_property
     def alpha_vector(self):
-        """alpha(self), computed once per module."""
-        return alpha(self)
+        """The unique integer solution of p*alpha_{i-1} - alpha_i = r_i.
+
+        alpha_i = (p^{f'-1} r_{i-f'+1} + ... + r_i) / (p^{f'} - 1); the
+        congruence checked at validation makes the division exact.  It reads
+        only p, f' and r, so equal inputs share one computation (_alpha).
+        """
+        return _alpha(self.ctx.p, self.fprime, self.ekk, self.r)
 
     @cached_property
     def galois_character(self):
-        """galois_char(self), computed once per module."""
-        return galois_char(self)
+        """Associated Galois character: tame exponent c_0 - alpha_0, unramified
+        part the product of the a_i over i = 0..f-1."""
+        return GaloisChar((self.c[0] - self.alpha_vector[0]) % self.ekk,
+                          self.unram_product())
 
 
 @dataclass(frozen=True)
@@ -147,16 +154,6 @@ def exhaustive_modules(ctx, kind):
     return mods
 
 
-def alpha(mod):
-    """The unique integer solution of p*alpha_{i-1} - alpha_i = r_i.
-
-    alpha_i = (p^{f'-1} r_{i-f'+1} + ... + r_i) / (p^{f'} - 1); the
-    congruence checked at validation makes the division exact.  It reads
-    only p, f' and r, so equal inputs share one computation (_alpha).
-    """
-    return _alpha(mod.ctx.p, mod.fprime, mod.ekk, mod.r)
-
-
 @lru_cache(maxsize=4096)
 def _alpha(p, fp, ekk, r):
     out = []
@@ -171,27 +168,15 @@ def _alpha(p, fp, ekk, r):
     return tuple(out)
 
 
-def galois_char(mod):
-    """Associated Galois character: tame exponent c_0 - alpha_0, unramified
-    part the product of the a_i over i = 0..f-1."""
-    al = mod.alpha_vector
-    return GaloisChar((mod.c[0] - al[0]) % mod.ekk, mod.unram_product())
-
-
 def _same_frame(m, n):
     if m.ctx != n.ctx or m.kind != n.kind:
         raise ContextMismatch("modules live over different contexts/kinds")
 
 
-def same_generic_fibre(m, n):
-    """Whether the two modules have equal associated Galois characters."""
-    _same_frame(m, n)
-    return m.galois_character == n.galois_character
-
-
 def hom_dim(m, n):
     """dim Hom(M, N) in {0, 1}: same character and alpha(M) >= alpha(N)."""
-    if not same_generic_fibre(m, n):
+    _same_frame(m, n)
+    if m.galois_character != n.galois_character:
         return 0
     return 1 if all(x >= y for x, y in zip(m.alpha_vector, n.alpha_vector)) else 0
 

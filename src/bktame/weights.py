@@ -86,7 +86,8 @@ def sigma_tau_J(tau, J):
 
 @lru_cache(maxsize=None)
 def jh_factors(tau):
-    """Weights of the admissible shapes; checked pairwise distinct."""
+    """Weights of the admissible shapes; checked pairwise distinct.  Each
+    has multiplicity one in the cycle Z(tau)."""
     weights = [sigma_tau_J(tau, shape) for shape in p_tau(tau)]
     check(len(set(weights)) == len(weights), "weights of one type must be distinct")
     return frozenset(weights)
@@ -150,35 +151,6 @@ def components_count(tau):
     return 1 if tau.is_scalar else 2 ** tau.ctx.f
 
 
-class Cycle:
-    """Finitely supported integer combination of Serre weights."""
-
-    def __init__(self, mult=None):
-        self.mult = {w: m for w, m in (mult or {}).items() if m}
-
-    @property
-    def is_reduced_effective(self):
-        return all(m in (0, 1) for m in self.mult.values())
-
-    @classmethod
-    def unit(cls, weight):
-        return cls({weight: 1})
-
-    def __eq__(self, other):
-        return isinstance(other, Cycle) and self.mult == other.mult
-
-    def __repr__(self):
-        body = ", ".join("%s:%+d" % (w.label(), m)
-                         for w, m in sorted(self.mult.items(),
-                                            key=lambda t: (t[0].t, t[0].s)))
-        return "<cycle %s>" % (body or "0")
-
-
-def z_tau_cycle(tau):
-    """Reduced effective cycle of the type: one per admissible weight."""
-    return Cycle({w: 1 for w in jh_factors(tau)})
-
-
 def all_weights(ctx):
     """Every non-Steinberg weight, ordered by (t, s)."""
     p, f = ctx.p, ctx.f
@@ -222,18 +194,19 @@ def solve_n_tau(ctx, weight, permute_seed=None):
 
 
 def c_sigma_cycle(n_tau):
-    """The cycle sum_tau n_tau Z(tau) of a decomposition from solve_n_tau;
-    equal to the unit cycle at the weight whenever it solves exactly."""
+    """The cycle sum_tau n_tau Z(tau) of a decomposition from solve_n_tau,
+    as a {weight: nonzero multiplicity} dict; equal to the unit cycle
+    {weight: 1} whenever it solves exactly."""
     mult = {}
     for tau, coeff in n_tau.items():
         for w in jh_factors(tau):
             mult[w] = mult.get(w, 0) + coeff
-    return Cycle(mult)
+    return {w: m for w, m in mult.items() if m}
 
 
 def verify_orthogonality(ctx):
     """sum_tau n_tau(w) m_{w'}(tau) = delta_{w,w'} over all non-Steinberg
     pairs, for the solver's own output: row w of that product is the cycle
     of w's decomposition, since every multiplicity m_{w'}(tau) is 0 or 1."""
-    return all(c_sigma_cycle(solve_n_tau(ctx, w)) == Cycle.unit(w)
+    return all(c_sigma_cycle(solve_n_tau(ctx, w)) == {w: 1}
                for w in all_weights(ctx))

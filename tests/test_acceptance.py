@@ -12,14 +12,14 @@ brute-force oracle confirms the 0.  See notes in the repository README.
 import math
 import time
 
-from bktame import (CUSPIDAL, PS, Cycle, LocalContext, all_weights, build_MN,
+from bktame import (CUSPIDAL, PS, LocalContext, all_weights, build_MN,
                     c_sigma_cycle, char_TN, components_count, divisor_support,
                     enumerate_types, exhaustive_modules, ext_dim, family_dim,
-                    galois_char, gamma_digits, hom_dim, irred_bound,
-                    jh_factors, kext_dim, kext_dim_oracle, maximal_refined,
-                    oracle_dims, p_tau, random_module, refined_shapes,
-                    shapes_for, sigma_tau_J, solve_n_tau, twist_conjugate,
-                    validate, verify_orthogonality, z_tau_cycle)
+                    gamma_digits, hom_dim, irred_bound, jh_factors, kext_dim,
+                    kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
+                    random_module, refined_shapes, shapes_for, sigma_tau_J,
+                    solve_n_tau, twist_conjugate, validate,
+                    verify_orthogonality)
 from bktame.cli import run
 from bktame.rng import SplitMix64
 
@@ -119,7 +119,7 @@ def test_criterion_4_character_injectivity():
                 assert len(set(exps)) == len(exps), tau.label()
                 for shape in shapes_for(tau):
                     _, n = build_MN(tau, maximal_refined(tau, shape))
-                    assert char_TN(tau, shape) == galois_char(n).tame_exp
+                    assert char_TN(tau, shape) == n.galois_character.tame_exp
     report(4, "descent-character injectivity and alpha-route agreement",
            True, started, 10)
 
@@ -131,11 +131,11 @@ def test_criterion_5_cycle_identities():
             ctx = LocalContext(p, f, 1)
             assert verify_orthogonality(ctx)
             for w in all_weights(ctx):
-                assert c_sigma_cycle(solve_n_tau(ctx, w)) == Cycle.unit(w)
-                assert (c_sigma_cycle(solve_n_tau(ctx, w, permute_seed=1))
-                        == Cycle.unit(w))
+                assert c_sigma_cycle(solve_n_tau(ctx, w)) == {w: 1}
+                assert c_sigma_cycle(solve_n_tau(ctx, w, permute_seed=1)) == {w: 1}
+            # Z(tau) is reduced: each admissible shape gives its own weight
             for tau in enumerate_types(ctx, canonical=True):
-                assert z_tau_cycle(tau).is_reduced_effective
+                assert len(jh_factors(tau)) == len(p_tau(tau))
     report(5, "cycle decomposition, orthogonality, permuted order",
            True, started, 30)
 

@@ -113,6 +113,25 @@ def test_bad_input_exits_2(argv, message):
     assert code == 2 and message in text
 
 
+def test_oracle_refuses_trunc_below_1_before_any_row(monkeypatch):
+    # the level is refused up front, also when no pair is drawn
+    computed = []
+
+    def recording(fn):
+        def wrapper(*args):
+            computed.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("oracle_dims", "kext_dim", "kext_dim_oracle"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    for samples in ("0", "1"):
+        text, code = run(["oracle", "-p", "3", "-f", "1", "--samples", samples, "--trunc", "0"])
+        assert code == 2
+        assert text == "error: truncation level must be at least 1, got 0\n"
+    assert computed == []
+
+
 # the options each command reads, besides -p, -f, --format and --out
 COMMON_OPTIONS = ("-p", "-f", "--format", "--out")
 READS = {
@@ -278,9 +297,8 @@ def test_every_shape_argument_passes_the_one_gate():
 # Hom of _kext_solve, until a brute-force solve replaces it (ROADMAP item 4).
 _ORACLE_SOLVES = ("_complex_matrix", "_dims_at_level", "_nullities", "_oracle_solve",
                   "_kext_solve")
-_CLOSED_FORMS = ("hom_dim", "ext_dim", "kext_dim", "kext_count",
-                 "gamma_star", "same_generic_fibre", "galois_char", "galois_character",
-                 "alpha_vector")
+_CLOSED_FORMS = ("hom_dim", "ext_dim", "kext_dim", "kext_count", "gamma_star",
+                 "galois_character", "alpha_vector")
 
 
 def test_oracle_solves_name_no_closed_form():
@@ -435,7 +453,9 @@ def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):
     star = functools.cached_property(counting(stars, shapes.Shape.gamma_star.func))
     star.__set_name__(shapes.Shape, "gamma_star")
     monkeypatch.setattr(shapes.Shape, "gamma_star", star)
-    monkeypatch.setattr(rankone, "alpha", counting(alphas, rankone.alpha))
+    alpha = functools.cached_property(counting(alphas, rankone.RankOneBK.alpha_vector.func))
+    alpha.__set_name__(rankone.RankOneBK, "alpha_vector")
+    monkeypatch.setattr(rankone.RankOneBK, "alpha_vector", alpha)
     monkeypatch.setattr(shapes, "gamma_digits", counting(digits, shapes.gamma_digits))
     report, code = run_json(["oracle", "-p", "3", "-f", "2", "--samples", "1"])
     assert code == 0
@@ -618,6 +638,7 @@ def test_bm_ztau_row_fails_on_a_wrong_weight_set(monkeypatch):
         return jh_factors(types["cusp:2"] if tau == types["ps:1,0"] else tau)
 
     monkeypatch.setattr(weights, "jh_factors", wrong)
+    monkeypatch.setattr(cli, "jh_factors", wrong)
     weights._bm_system.cache_clear()
     try:
         report, code = run_json(["bm", "-p", "3", "-f", "1"])
@@ -651,15 +672,15 @@ def test_components_report():
 def test_components_cycle_row_fails_on_a_dropped_weight(monkeypatch):
     # drop one weight from one type's Z(tau): only that type's cycle row,
     # which compares Z(tau) with the Brauer-character oracle, can see it
-    z_tau_cycle = cli.z_tau_cycle
+    jh_factors = cli.jh_factors
 
     def dropped(tau):
-        cyc = z_tau_cycle(tau)
+        z = jh_factors(tau)
         if tau.label() == "cusp:1":
-            del cyc.mult[min(cyc.mult, key=lambda w: (w.t, w.s))]
-        return cyc
+            return z - {min(z, key=lambda w: (w.t, w.s))}
+        return z
 
-    monkeypatch.setattr(cli, "z_tau_cycle", dropped)
+    monkeypatch.setattr(cli, "jh_factors", dropped)
     report, code = run_json(["components", "-p", "3", "-f", "2"])
     assert code == 1
     assert [it["key"] for it in report["items"] if not it["ok"]] == ["cusp:1|cycle"]
@@ -672,6 +693,15 @@ def test_csv_and_text_render():
     assert "key" in header and len(text.splitlines()) == 7
     text2, _ = run(["types", "-p", "3", "-f", "1", "--format", "text"])
     assert "pass=6 fail=0" in text2
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    # every row passes, so the failed write is a refused input, not a failed row
+    path = tmp_path / "missing" / "report.json"
+    text, code = run(["types", "-p", "3", "-f", "1", "--out", str(path)])
+    assert code == 2
+    assert text.startswith("error: cannot write %s" % path)
+    assert not path.exists()
 
 
 def test_out_file_at_an_absolute_path(tmp_path):

@@ -2,9 +2,8 @@ import pytest
 
 from bktame import (CUSPIDAL, PS, CongruenceFailed, ContextMismatch,
                     KindMismatch, LocalContext, PeriodError, RangeError,
-                    ZeroCoefficient, alpha, build_field, galois_char, hom_dim,
-                    oracle_dims, random_module, same_generic_fibre,
-                    twist_conjugate, validate)
+                    ZeroCoefficient, build_field, hom_dim, oracle_dims,
+                    random_module, twist_conjugate, validate)
 from bktame.rng import SplitMix64
 
 CTX = LocalContext(3, 1, 1)
@@ -41,7 +40,7 @@ def test_a_coefficient_is_an_index_of_the_modules_own_field():
     # cuspidal modules at p=3, f=1 have coefficients in GF(9): 4 is the index
     # of 1 + x, not 4 mod 3
     m = validate(CTX, CUSPIDAL, (6, 6), (4, 4), (3, 3))
-    assert m.a == (4, 4) and m.unram_product() == 4 == galois_char(m).unram
+    assert m.a == (4, 4) and m.unram_product() == 4 == m.galois_character.unram
     assert validate(CTX, CUSPIDAL, (6, 6), ((1, 1), (1, 1)), (3, 3)) == m
     with pytest.raises(ZeroCoefficient):
         validate(CTX, CUSPIDAL, (6, 6), (0, 0), (3, 3))
@@ -64,31 +63,31 @@ def test_validate_error_types_and_order():
 
 
 def test_alpha_examples():
-    assert alpha(validate(CTX, PS, (2,), (1,), (1,))) == (1,)
-    assert alpha(validate(CTX, PS, (0,), (1,), (0,))) == (0,)
+    assert validate(CTX, PS, (2,), (1,), (1,)).alpha_vector == (1,)
+    assert validate(CTX, PS, (0,), (1,), (0,)).alpha_vector == (0,)
     cusp = validate(CTX, CUSPIDAL, (2, 2), (1, 1), (1, 1))
-    assert alpha(cusp) == (1, 1)  # (3*2 + 2)/8
+    assert cusp.alpha_vector == (1, 1)  # (3*2 + 2)/8
 
 
 def test_galois_char_examples():
-    ch = galois_char(validate(CTX, PS, (2,), (1,), (1,)))
+    ch = validate(CTX, PS, (2,), (1,), (1,)).galois_character
     assert ch.tame_exp == 0 and ch.unram == 1
-    ch2 = galois_char(validate(CTX, PS, (0,), (1,), (0,)))
+    ch2 = validate(CTX, PS, (0,), (1,), (0,)).galois_character
     assert ch2.tame_exp == 0 and ch2.unram == 1
     cusp = validate(CTX, CUSPIDAL, (6, 6), (1, 1), (3, 3))
-    ch3 = galois_char(cusp)
+    ch3 = cusp.galois_character
     assert ch3.tame_exp == 0  # alpha_0 = (3*6+6)/8 = 3 and c_0 = 3
 
 
 def test_same_generic_fibre_examples():
     m = validate(CTX, PS, (2,), (1,), (1,))
     n = validate(CTX, PS, (0,), (1,), (0,))
-    assert same_generic_fibre(m, m)
-    assert same_generic_fibre(m, n)
+    assert m.galois_character == n.galois_character
     n2 = validate(CTX, PS, (0,), (2,), (0,))
-    assert not same_generic_fibre(m, n2)
+    assert m.galois_character != n2.galois_character
+    assert hom_dim(m, n2) == hom_dim(n2, m) == 0
     with pytest.raises(ContextMismatch):
-        same_generic_fibre(m, validate(CTX, CUSPIDAL, (2, 2), (1, 1), (1, 1)))
+        hom_dim(m, validate(CTX, CUSPIDAL, (2, 2), (1, 1), (1, 1)))
 
 
 def test_hom_dim_examples():
@@ -116,7 +115,7 @@ def test_char_exponent_consistent_at_every_index():
     for kind in (PS, CUSPIDAL):
         for _ in range(50):
             m = random_module(ctx, kind, rng)
-            al = alpha(m)
+            al = m.alpha_vector
             ekk = m.ekk
             base = (m.c[0] - al[0]) % ekk
             for i in range(m.fprime):
@@ -129,7 +128,7 @@ def test_alpha_recursion_invariant_random():
     for kind in (PS, CUSPIDAL):
         for _ in range(50):
             m = random_module(ctx, kind, rng)
-            al = alpha(m)
+            al = m.alpha_vector
             for i in range(m.fprime):
                 assert 3 * al[i - 1] - al[i] == m.r[i]
 
@@ -140,7 +139,7 @@ def test_galois_char_invariant_under_isomorphism():
     g = F.multiplicative_generator()
     m = validate(ctx, PS, (0, 0), (g, 1), (0, 0))
     n = validate(ctx, PS, (0, 0), (1, g), (0, 0))
-    assert galois_char(m) == galois_char(n)
+    assert m.galois_character == n.galois_character
 
 
 def test_twist_conjugate():

@@ -167,8 +167,8 @@ def test_gamma_digits_checks_survive_python_O():
          "zero digits iff scalar"),
         # a module built directly, bypassing validate, with r = 1 at p = 3,
         # f = 1: the alpha numerator 1 is not divisible by p - 1 = 2
-        ("from bktame import PS, LocalContext, RankOneBK, alpha\n"
-         "alpha(RankOneBK(LocalContext(3, 1, 1), PS, (1,), (1,), (0,)))\n",
+        ("from bktame import PS, LocalContext, RankOneBK\n"
+         "RankOneBK(LocalContext(3, 1, 1), PS, (1,), (1,), (0,)).alpha_vector\n",
          "alpha numerator not divisible"),
         # a cuspidal type with exponents (0, 2), built directly: its digits
         # pass gamma_digits, but the admissible shape {1} gives a det
