@@ -19,8 +19,8 @@ from .brauer import jh_oracle, weights_character
 from .gfarith import _digits
 from .rankone import RankOneBK, exhaustive_modules, hom_dim, random_module
 from .rng import SplitMix64
-from .shapes import (build_MN, ext_dim, family_dim, is_admissible, kext_dim,
-                     kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
+from .shapes import (build_MN, digit_masks, ext_dim, family_dim, is_admissible,
+                     kext_dim, kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
                      refined_count, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, enumerate_types,
                         gamma_digits, make_type)
@@ -33,6 +33,9 @@ _WRITE_SLICE = 1 << 20   # characters per write of a report
 _json_str = json.encoder.encode_basestring_ascii
 _JSON_LEAVES = {str: _json_str, int: int.__repr__, type(None): lambda _: "null",
                 bool: {True: "true", False: "false"}.__getitem__}
+_MEMO_CAP = 1 << 12   # entries of each rendering memo
+_LAYOUTS = {}     # (dict keys in insertion order, pad) -> _dict_layout
+_INT_LISTS = {}   # (pad, *items) -> text of a list of exact ints
 
 
 def _parse_type_selector(ctx, text):
@@ -110,13 +113,14 @@ def cmd_ptau(ctx, args):
         if group not in columns:
             columns[group] = _shape_columns(tau)
         label, gamma = tau.label(), gamma_digits(tau)
+        masks = digit_masks(gamma, ctx.p)
         # admissibility reads only p, J and the shape's transitions besides gamma
         for shape, suffix, J, count, y, dim in columns[group]:
             yield {
                 "key": label + suffix,
                 "type": label,
                 "J": J,
-                "in_ptau": is_admissible(shape, gamma),
+                "in_ptau": is_admissible(shape, gamma, masks),
                 "refined_count": count,
                 "maximal_y": y,
                 "family_dim": dim,
@@ -337,12 +341,36 @@ def _render_json(report, rows):
     return ",\n    ".join(rows)
 
 
+def _memo_put(memo, key, value):
+    """Store value under key in a memo of at most _MEMO_CAP entries,
+    emptying it first when it is full; returns value."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _dict_layout(obj, pad):
+    """The sorted keys of the dict obj at indentation pad, each with the text
+    before its value ("{" or ",", a newline, the indent, the encoded key and
+    ": "), and the text that closes the dict."""
+    inner = pad + "  "
+    fields = [(key, ("," if n else "{") + "\n" + inner + _json_str(key) + ": ")
+              for n, key in enumerate(sorted(obj))]
+    return fields, "\n" + pad + "}"
+
+
 def _json(obj, pad):
     """json.dumps(obj, sort_keys=True, indent=2) of obj at indentation pad,
     with each container rendered as one join of its children.
 
     Renders str keys and str, int, bool, None, list, tuple and dict values;
-    anything else raises TypeError.
+    anything else raises TypeError.  A dict is rendered from the layout of
+    its keys (_dict_layout), memoised per (keys in insertion order, pad), so
+    rows with one key set sort and encode their keys once.  The text of a
+    list whose items are all exactly int is memoised per (pad, *items); bools
+    are excluded because True == 1 with the same hash.  Both memos hold at
+    most _MEMO_CAP entries.
     """
     leaf = _JSON_LEAVES.get(type(obj))
     if leaf is not None:
@@ -351,20 +379,33 @@ def _json(obj, pad):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        layout_key = (tuple(obj), pad)
+        layout = _LAYOUTS.get(layout_key)
+        if layout is None:
+            layout = _memo_put(_LAYOUTS, layout_key, _dict_layout(obj, pad))
+        fields, close = layout
         parts = []
-        for key in sorted(obj):
+        for key, head in fields:
             val = obj[key]
             leaf = _JSON_LEAVES.get(type(val))
-            parts.append(_json_str(key) + ": " + (leaf(val) if leaf else _json(val, inner)))
-        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(parts), pad)
+            parts.append(head)
+            parts.append(leaf(val) if leaf else _json(val, inner))
+        parts.append(close)
+        return "".join(parts)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        ints = all(type(x) is int for x in obj)
+        if ints:
+            text = _INT_LISTS.get((pad, *obj))
+            if text is not None:
+                return text
         parts = []
         for x in obj:
             leaf = _JSON_LEAVES.get(type(x))
             parts.append(leaf(x) if leaf else _json(x, inner))
-        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(parts), pad)
+        text = "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(parts), pad)
+        return _memo_put(_INT_LISTS, (pad, *obj), text) if ints else text
     raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 

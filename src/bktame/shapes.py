@@ -47,6 +47,14 @@ class Shape:
         return frozenset(i for i in range(fp) if ((i - 1) % fp in J) != (i in J))
 
     @cached_property
+    def transition_masks(self):
+        """(into, out): the bit masks of the transitions entering J (i in J)
+        and leaving J (i not in J), computed once per shape."""
+        into = sum(1 << i for i in self.transitions if i in self.J)
+        out = sum(1 << i for i in self.transitions if i not in self.J)
+        return into, out
+
+    @cached_property
     def gamma(self):
         """gamma_digits of the type (computed once per shape)."""
         return gamma_digits(self.tau)
@@ -160,21 +168,40 @@ def shapes_for(tau):
     return sorted(out, key=lambda s: s.key())
 
 
-def is_admissible(shape, gamma):
+def digit_masks(gamma, p):
+    """(zero, top): the bit masks of the indices i with gamma_i = 0 and with
+    gamma_i = p - 1."""
+    zero = top = 0
+    for i, g in enumerate(gamma):
+        if g == 0:
+            zero |= 1 << i
+        elif g == p - 1:
+            top |= 1 << i
+    return zero, top
+
+
+def is_admissible(shape, gamma, masks=None):
     """Whether the shape lies in P_tau, given gamma = gamma_digits(tau):
     its transitions avoid the forbidden digit values, i.e. leaving J
     requires gamma_i != p-1 and entering J requires gamma_i != 0.
 
+    Tested by bit masks: no transition entering J (Shape.transition_masks)
+    may meet a zero digit, and no transition leaving J a (p-1) digit.
+    masks is digit_masks(gamma, p), for callers that test many shapes
+    against one gamma; without it the masks are computed here.
+
     tau may be any type in shape.tau's (kind, scalar) group, which share
     their shapes and transitions; ptau passes one shape list per group."""
-    J, p = shape.J, shape.tau.ctx.p
-    return all(gamma[i] != (0 if i in J else p - 1) for i in shape.transitions)
+    zero, top = digit_masks(gamma, shape.tau.ctx.p) if masks is None else masks
+    into, out = shape.transition_masks
+    return not (into & zero or out & top)
 
 
 def p_tau(tau):
     """The admissible shapes, in the order of shapes_for."""
     gamma = gamma_digits(tau)
-    return [shape for shape in shapes_for(tau) if is_admissible(shape, gamma)]
+    masks = digit_masks(gamma, tau.ctx.p)
+    return [shape for shape in shapes_for(tau) if is_admissible(shape, gamma, masks)]
 
 
 def refined_shapes(tau, J):

@@ -150,13 +150,15 @@ def gamma_digits(tau):
     the only one prime to p, each digit is just [k_i - k'_i] mod p, and
     k_i - k'_i = p^i (k0 - k0p) is one Frobenius orbit.
     """
-    p, fp = tau.ctx.p, tau.fprime
-    gamma = tuple(k % p for k in tau._frobenius_orbit(tau.k0 - tau.k0p))
-    check(not all(g == p - 1 for g in gamma), "digit vector is all p-1")
-    check(tau.is_scalar == all(g == 0 for g in gamma), "zero digits iff scalar")
-    if tau.kind == CUSPIDAL:
-        f = tau.ctx.f
-        check(all(gamma[i] + gamma[(i + f) % fp] == p - 1 for i in range(fp)),
+    ctx, kind = tau.ctx, tau.kind
+    p, ekk, k = ctx.p, ctx.ekk(kind), tau.k0 - tau.k0p
+    gamma = tuple(pw * k % ekk % p for pw in ctx.p_powers(kind))
+    fp = len(gamma)
+    check(gamma.count(p - 1) != fp, "digit vector is all p-1")
+    check(tau.is_scalar == (gamma.count(0) == fp), "zero digits iff scalar")
+    if kind == CUSPIDAL:
+        # the pairs (i, i + f) for i < f; the pairs from i >= f are the same
+        check(all(a + b == p - 1 for a, b in zip(gamma, gamma[ctx.f:])),
               "cuspidal digits are not complementary under the shift by f")
     return gamma
 

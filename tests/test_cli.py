@@ -11,9 +11,10 @@ import tracemalloc
 
 import pytest
 
-from bktame import (LocalContext, all_weights, cli, enumerate_types, errors, intlinalg,
-                    rankone, shapes, weights)
+from bktame import (LocalContext, all_weights, cli, enumerate_types, errors, gamma_digits,
+                    intlinalg, rankone, shapes, weights)
 from bktame.cli import run
+from definitions import admissible_by_definition
 
 # sha256 of the rendered report; any change to these bytes is a change of output
 REPORT_SHA256 = {
@@ -348,6 +349,16 @@ def test_json_render_matches_json_dumps():
               {'"q"': 1, "back\\": 2, "\n": 3, "\u00e9": 4, "\x7f": 5, "": 6, "B": 7, "a": 8}]
     for obj in cases:
         assert cli._json(obj, "") == reference(obj)
+    # memo hazards, in this order in one process: bools that equal and hash
+    # like ints, one int list and one key set at several pads and insertion
+    # orders, keys that look like format templates, a list inside a list
+    int_list = [1, 2]
+    hazards = [[1, 0], [True, False], [7], [True],
+               int_list, {"a": int_list}, {"a": {"b": int_list}}, [int_list],
+               {"b": 1, "a": 2}, {"a": 2, "b": 1}, [{"b": 1, "a": 2}], {"x": {"a": 2, "b": 1}},
+               {'%s{"}': 1, "%d": [1, 2], "{0}": {'%s{"}': True}}, [[1, 2]]]
+    for obj in hazards:
+        assert cli._json(obj, "") == reference(obj)
     report, _ = run_json(["types", "-p", "3", "-f", "1"])
     assert cli.render(report, "json") == reference(report) + "\n"
     report["items"] = iter(())
@@ -405,10 +416,26 @@ def test_ptau_report():
     assert flags == {"cusp:1|J={0}": False, "cusp:1|J={1}": True}
 
 
+@pytest.mark.parametrize("p, f, e", [(3, 1, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1)])
+@pytest.mark.parametrize("ordered", [False, True], ids=["canonical", "ordered"])
+def test_ptau_in_ptau_is_admissibility_by_definition(p, f, e, ordered):
+    argv = ["ptau", "-p", str(p), "-f", str(f), "-e", str(e)] + ["--ordered"] * ordered
+    report, code = run_json(argv)
+    assert code == 0
+    types = {tau.label(): tau for tau in enumerate_types(LocalContext(p, f, e))}
+    rows = report["items"]
+    assert {it["type"] for it in rows} <= set(types)
+    assert any(it["in_ptau"] for it in rows) and not all(it["in_ptau"] for it in rows)
+    for it in rows:
+        gamma = gamma_digits(types[it["type"]])
+        assert it["in_ptau"] is admissible_by_definition(set(it["J"]), gamma, p), it["key"]
+
+
 def test_ptau_does_each_shape_and_type_once(monkeypatch):
-    # the shape columns are built once per (kind, scalar) group of types;
-    # each type pays only for its label, its digits and admissibility
-    built, listed, digits = [], [], []
+    # the shape columns and transition masks are built once per (kind,
+    # scalar) group of types; each type pays only for its label, its digits,
+    # their masks and admissibility
+    built, listed, digits, digit_masks, masks = [], [], [], [], []
 
     def counting(log, fn):
         def wrapper(*args):
@@ -418,6 +445,11 @@ def test_ptau_does_each_shape_and_type_once(monkeypatch):
 
     monkeypatch.setattr(shapes.RefinedShape, "__post_init__",
                         counting(built, shapes.RefinedShape.__post_init__))
+    transition_masks = functools.cached_property(
+        counting(masks, shapes.Shape.transition_masks.func))
+    transition_masks.__set_name__(shapes.Shape, "transition_masks")
+    monkeypatch.setattr(shapes.Shape, "transition_masks", transition_masks)
+    monkeypatch.setattr(cli, "digit_masks", counting(digit_masks, shapes.digit_masks))
     shapes_for = counting(listed, shapes.shapes_for)
     gamma_digits = counting(digits, shapes.gamma_digits)
     for module in (shapes, cli):
@@ -425,7 +457,7 @@ def test_ptau_does_each_shape_and_type_once(monkeypatch):
         monkeypatch.setattr(module, "gamma_digits", gamma_digits)
     group = lambda tau: (tau.kind, tau.is_scalar)
     for argv in ("ptau -p 3 -f 2", "ptau -p 3 -f 2 -e 2 --ordered"):
-        del built[:], listed[:], digits[:]
+        del built[:], listed[:], digits[:], digit_masks[:], masks[:]
         report, code = run_json(argv.split())
         assert code == 0
         rows = report["items"]
@@ -438,7 +470,12 @@ def test_ptau_does_each_shape_and_type_once(monkeypatch):
         built_keys = [group(rs.shape.tau) + (rs.shape.key(),) for (rs,) in built]
         assert len(built_keys) == len(set(built_keys)) == len(distinct)
         assert len(listed) == len({group(tau) for (tau,) in listed}) == len(groups)
+        # one pair of transition masks per distinct (kind, scalar, J)
+        mask_keys = [group(shape.tau) + (shape.key(),) for (shape,) in masks]
+        assert len(mask_keys) == len(set(mask_keys)) == len(distinct)
+        # gamma_digits and its masks once per type
         assert sorted(tau.label() for (tau,) in digits) == types
+        assert len(digit_masks) == len(types)
 
 
 def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):

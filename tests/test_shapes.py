@@ -13,6 +13,7 @@ from bktame import (CUSPIDAL, PS, InternalError, InvalidShape, LocalContext, NoN
                     p_tau, random_module, refined_count, refined_shapes,
                     shapes_for, sigma_tau_J, validate)
 from bktame.rng import SplitMix64
+from definitions import admissible_by_definition
 
 CTX = LocalContext(3, 1, 1)
 TAU_PS = make_type(CTX, PS, 1, 0)
@@ -62,18 +63,6 @@ def test_refined_count_is_the_number_of_refined_shapes():
             assert refined_count(tau, shape) == len(refined_shapes(tau, shape))
 
 
-def _admissible_by_definition(shape, gamma):
-    """Leaving J at i needs gamma_i != p-1; entering J at i needs gamma_i != 0."""
-    fp, J, p = shape.tau.fprime, shape.J, shape.tau.ctx.p
-    for i in range(fp):
-        prev_in, cur_in = (i - 1) % fp in J, i in J
-        if prev_in and not cur_in and gamma[i] == p - 1:
-            return False
-        if cur_in and not prev_in and gamma[i] == 0:
-            return False
-    return True
-
-
 def test_admissibility_predicate_agrees_with_p_tau():
     for tau in _sweep_types():
         gamma = gamma_digits(tau)
@@ -81,7 +70,7 @@ def test_admissibility_predicate_agrees_with_p_tau():
         for shape in shapes_for(tau):
             verdict = is_admissible(shape, gamma)
             assert verdict == (shape in admissible)
-            assert verdict == _admissible_by_definition(shape, gamma)
+            assert verdict == admissible_by_definition(shape.J, gamma, tau.ctx.p)
 
 
 def test_build_MN_ps_example():
