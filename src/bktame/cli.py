@@ -17,11 +17,11 @@ from operator import itemgetter
 from . import errors
 from .brauer import jh_oracle, weights_character
 from .gfarith import _digits
-from .rankone import RankOneBK, exhaustive_modules, hom_dim, random_module
+from .rankone import exhaustive_modules, hom_dim, random_module
 from .rng import SplitMix64
-from .shapes import (build_MN, digit_masks, ext_dim, family_dim, is_admissible,
-                     kext_dim, kext_dim_oracle, maximal_refined, oracle_dims, p_tau,
-                     refined_count, shapes_for)
+from .shapes import (build_MN, digit_masks, ext_dim, family_dim, fill_shape_classes,
+                     is_admissible, kext_dim, kext_dim_oracles, maximal_refined,
+                     oracle_dims, p_tau, refined_count, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, enumerate_types,
                         gamma_digits, make_type)
 from .weights import (all_weights, c_sigma_cycle, char_TN, components_count,
@@ -195,22 +195,26 @@ def cmd_oracle(ctx, args):
             pairs = ((random_module(ctx, kind, rng), random_module(ctx, kind, rng))
                      for _ in range(args.samples))
         yield from _pair_items(kind, pairs, args.trunc)
-    # kExt sweep over every maximal refined shape, both product choices
-    for tau in enumerate_types(ctx, canonical=True):
-        if tau.is_scalar:
-            continue
-        twist_a = (ctx.coefficient_field(tau.kind).multiplicative_generator(),) * tau.fprime
-        label, prod_ne = tau.label(), None
+    # kExt sweep over every maximal refined shape, both product choices; the
+    # ne rows' n has every coefficient gen, whose product is read once per kind
+    twists = {}   # kind -> (gen over one period, its product)
+    for kind in (PS, CUSPIDAL):
+        field = ctx.coefficient_field(kind)
+        gen, prod = field.multiplicative_generator(), 1
+        for _ in range(ctx.f):
+            prod = field.mul(prod, gen)
+        twists[kind] = (gen,) * ctx.f, prod
+    types = [tau for tau in enumerate_types(ctx, canonical=True) if not tau.is_scalar]
+    fill_shape_classes(types)
+    for tau in types:
+        twist_a, prod_ne = twists[tau.kind]
+        label = tau.label()
         for shape in shapes_for(tau):
             m, n = build_MN(tau, maximal_refined(tau, shape))
-            # n with every coefficient gen: its r and c are already validated
-            n_twist = RankOneBK(ctx, tau.kind, n.r, twist_a, n.c)
-            if prod_ne is None:   # every shape's n_twist has the coefficients twist_a
-                prod_ne = n_twist.unram_product()
+            oracles = kext_dim_oracles(m, n, twist_a)
             prefix = "kext|%s|J=%s|" % (label, _shape_str(shape.J))
-            for tag, prod_b, nn in (("eq", 1, n), ("ne", prod_ne, n_twist)):
+            for tag, prod_b, ko in zip(("eq", "ne"), (1, prod_ne), oracles):
                 kv = kext_dim(tau, shape, 1, prod_b)
-                ko = kext_dim_oracle(m, nn)
                 yield {
                     "key": prefix + tag,
                     "type": label,

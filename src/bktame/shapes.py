@@ -9,8 +9,10 @@ explicit two-term complex of a pair at two truncation levels and insist
 the answers agree.
 """
 
+import dataclasses
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -18,13 +20,27 @@ from .errors import (InvalidShape, NoNonzeroMap, RangeError, TruncationUnstable,
                      check)
 from .gfarith import gauss_rank
 from .rankone import _alpha, _module, _same_frame, hom_dim, twist_conjugate
-from .tametypes import CUSPIDAL, TameType, gamma_digits
+from .tametypes import CUSPIDAL, PS, TameType, _delta_digits, gamma_digits
 
 
 @dataclass(frozen=True)
 class Shape:
+    """A shape J of the type tau.  Each quantity is derived once, at the level
+    of the data it reads: the frame (transitions, their masks and their set
+    mod f, the y-ranges) per (context, kind, J) (_shape_frame); the class data
+    (digits gamma, twisted digits gamma*, twist sum T, kExt count) per
+    (context, kind, tau.delta, J), tau.delta = k0 - k0p mod p^{f'} - 1
+    (_shape_classes); and per shape only the descent exponents (c, d), read
+    from the type's Frobenius orbits.
+
+    orbits (an _Orbits of tau) gives (tau.kvec, tau.kpvec); shapes_for
+    hands one to all the shapes of a type, so the type derives its orbits
+    at most once.  It is not compared; without it the shape makes its own.
+    """
+
     tau: TameType
     J: frozenset
+    orbits: object = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         fp = self.tau.fprime
@@ -36,82 +52,150 @@ class Shape:
             f = self.tau.ctx.f
             if any((i in self.J) == ((i + f) % fp in self.J) for i in range(fp)):
                 raise InvalidShape("cuspidal shapes satisfy i in J iff i+f not in J")
+        if self.orbits is None:
+            object.__setattr__(self, "orbits", _Orbits(self.tau))
 
     def key(self):
         return tuple(sorted(self.J))
 
     @cached_property
+    def _frame(self):
+        return _shape_frame(self.tau.ctx, self.tau.kind, self.J)
+
+    @cached_property
+    def _class(self):
+        tau = self.tau
+        return _shape_classes(tau.ctx, tau.kind, tau.delta)[self.J]
+
+    @property
     def transitions(self):
-        """Indices i with exactly one of i-1, i in J (computed once per shape)."""
-        fp, J = self.tau.fprime, self.J
-        return frozenset(i for i in range(fp) if ((i - 1) % fp in J) != (i in J))
+        """Indices i with exactly one of i-1, i in J."""
+        return self._frame.transitions
 
     @cached_property
     def transition_masks(self):
         """(into, out): the bit masks of the transitions entering J (i in J)
-        and leaving J (i not in J), computed once per shape."""
-        into = sum(1 << i for i in self.transitions if i in self.J)
-        out = sum(1 << i for i in self.transitions if i not in self.J)
-        return into, out
+        and leaving J (i not in J).  Kept on the shape, as is_admissible
+        reads them once per (type, shape)."""
+        return self._frame.masks
 
-    @cached_property
+    @property
+    def y_ranges(self):
+        """The range of each y_i: [1, e] where i is a transition mod f, else [0, e]."""
+        return self._frame.y_ranges
+
+    @property
     def gamma(self):
-        """gamma_digits of the type (computed once per shape)."""
-        return gamma_digits(self.tau)
+        """gamma_digits of the type."""
+        return self._class.gamma
 
-    @cached_property
+    @property
     def gamma_star(self):
         """Digit vector twisted by the shape: complemented where i-1 lies in J.
 
         At every transition the defining identity
-        p*[d_{i-1} - c_{i-1}] - [c_i - d_i] = gamma*_i (p^{f'} - 1) is checked.
-        All zeros for a scalar type.  Computed once per shape.
+        p*[d_{i-1} - c_{i-1}] - [c_i - d_i] = gamma*_i (p^{f'} - 1) is checked,
+        once per class, on the residues [c_i - d_i] = +-p^i delta that the
+        class determines (_shape_class).  All zeros for a scalar type.
         """
-        tau, gamma, J = self.tau, self.gamma, self.J
-        p, fp, ekk = tau.ctx.p, tau.fprime, tau.ekk
-        gs = tuple(p - 1 - gamma[i] if (i - 1) % fp in J else gamma[i]
-                   for i in range(fp))
-        c, d = self.cd
-        for i in self.transitions:
-            lhs = p * ((d[i - 1] - c[i - 1]) % ekk) - (c[i] - d[i]) % ekk
-            check(lhs == gs[i] * ekk, "twisted digit identity failed")
-        return gs
+        return self._class.gamma_star
 
-    @cached_property
+    @property
     def twist(self):
         """The shape's twist sum T: over i with i-1 in J, the t-digit
-        gamma_i + [i not in J] times p^{f'-i}, mod p^{f'} - 1 (computed once).
+        gamma_i + [i not in J] times p^{f'-i}, mod p^{f'} - 1.
         Index i is the paper's embedding sigma_i, sigma_{i+1}^p = sigma_i, so
         its digits sit at p^{-i}, as in gamma_digits.  The descent exponent
         is k0 - T (char_TN); the weight's det exponent is k0' + T."""
-        tau, J, gamma = self.tau, self.J, self.gamma
-        fp, ppow = tau.fprime, tau.ctx.p_powers(tau.kind)
-        return sum((gamma[i] + (i not in J)) * ppow[-i % fp]
-                   for i in range(fp) if (i - 1) % fp in J) % tau.ekk
+        return self._class.twist
+
+    @property
+    def kext_count(self):
+        """Transitions (i-1, i), i = 0..f-1, with vanishing twisted digit:
+        the closed-form kExt dimension away from the exceptional branch."""
+        return self._class.kext_count
 
     @cached_property
     def cd(self):
         """Descent exponents (c, d) of the shape's standard pair: c_i is k_i
         for i in J and k'_i elsewhere, d_i the other one (computed once)."""
-        kv, kpv = self.tau.kvec, self.tau.kpvec
-        c = tuple(kv[i] if i in self.J else kpv[i] for i in range(self.tau.fprime))
-        d = tuple(kpv[i] if i in self.J else kv[i] for i in range(self.tau.fprime))
+        kv, kpv = self.orbits()
+        J = self.J
+        c = tuple(kv[i] if i in J else kpv[i] for i in range(len(kv)))
+        d = tuple(kpv[i] if i in J else kv[i] for i in range(len(kv)))
         return c, d
 
-    @cached_property
-    def kext_count(self):
-        """Transitions (i-1, i), i = 0..f-1, with vanishing twisted digit:
-        the closed-form kExt dimension away from the exceptional branch
-        (computed once)."""
-        gs, low = self.gamma_star, _reduced_mod_f(self.transitions, self.tau)
-        return sum(1 for i in range(self.tau.ctx.f) if i in low and gs[i] == 0)
 
-    @cached_property
-    def y_ranges(self):
-        """The range of each y_i: [1, e] where i is a transition mod f, else [0, e]."""
-        tau = self.tau
-        low = _reduced_mod_f(self.transitions, tau)
-        return tuple(range(1 if i in low else 0, tau.ctx.e + 1) for i in range(tau.ctx.f))
+class _Orbits:
+    """(tau.kvec, tau.kpvec) when called: derived at the first call, then kept."""
+
+    __slots__ = ("tau", "vecs")
+
+    def __init__(self, tau):
+        self.tau, self.vecs = tau, None
+
+    def __call__(self):
+        if self.vecs is None:
+            self.vecs = (self.tau.kvec, self.tau.kpvec)
+        return self.vecs
+
+
+# the data of a shape that reads only (context, kind, J): the transitions,
+# their (into, out) bit masks, their set mod f and the y-ranges
+_Frame = namedtuple("_Frame", "transitions masks low y_ranges")
+
+
+@lru_cache(maxsize=1 << 10)   # 2^f per (context, kind): 32 per context at f = 4
+def _shape_frame(ctx, kind, J):
+    fp, f = ctx.fprime(kind), ctx.f
+    trans = frozenset(i for i in range(fp) if ((i - 1) % fp in J) != (i in J))
+    masks = (sum(1 << i for i in trans if i in J), sum(1 << i for i in trans if i not in J))
+    low = frozenset(i % f for i in trans)
+    y_ranges = tuple(range(1 if i in low else 0, ctx.e + 1) for i in range(f))
+    return _Frame(trans, masks, low, y_ranges)
+
+
+# the data of a shape that reads only (context, kind, delta, J): gamma,
+# the residues [c_i - d_i] mod p^{f'} - 1 its identity check ran on, gamma*,
+# the twist sum T and the kExt count
+_Class = namedtuple("_Class", "gamma residues gamma_star twist kext_count")
+
+
+@lru_cache(maxsize=1 << 12)   # oracle -p 11 -f 2 meets 239 (kind, delta) classes
+def _shape_classes(ctx, kind, delta):
+    """{J: _shape_class(...)} over every shape of the types of the kind with
+    k0 - k0p = delta mod p^{f'} - 1, filled at once at the class's first
+    use; gamma is derived once for all of them."""
+    gamma = _delta_digits(ctx, kind, delta)
+    return {J: _shape_class(ctx, kind, delta, gamma, J)
+            for J in _shape_sets(ctx, kind, kind == PS and delta == 0)}
+
+
+def fill_shape_classes(types):
+    """Build the class data of every shape of the types in one pass, before
+    a sweep over them reads it.  Built class by class during the sweep, the
+    long-lived entries land among the sweep's short-lived rows, and the peak
+    RSS of oracle -p 7 -f 2 --samples 1 rose by 7% (32.0 to 34.1 MB)."""
+    for tau in types:
+        _shape_classes(tau.ctx, tau.kind, tau.delta)
+
+
+def _shape_class(ctx, kind, delta, gamma, J):
+    """The class data of the shape J, gamma being _delta_digits(ctx, kind,
+    delta).  [c_i - d_i] is p^i delta for i in J and -p^i delta elsewhere;
+    at every transition the twisted digit identity is checked on them."""
+    p, f, fp, ekk = ctx.p, ctx.f, ctx.fprime(kind), ctx.ekk(kind)
+    ppow, frame = ctx.p_powers(kind), _shape_frame(ctx, kind, J)
+    residues = tuple(pw * delta % ekk if i in J else -pw * delta % ekk
+                     for i, pw in enumerate(ppow))
+    gs = tuple(p - 1 - gamma[i] if (i - 1) % fp in J else gamma[i] for i in range(fp))
+    for i in frame.transitions:
+        lhs = p * (-residues[i - 1] % ekk) - residues[i]
+        check(lhs == gs[i] * ekk, "twisted digit identity failed")
+    twist = sum((gamma[i] + (i not in J)) * ppow[-i % fp]
+                for i in range(fp) if (i - 1) % fp in J) % ekk
+    count = sum(1 for i in range(f) if i in frame.low and gs[i] == 0)
+    return _Class(gamma, residues, gs, twist, count)
 
 
 @dataclass(frozen=True)
@@ -143,8 +227,20 @@ def _to_shape(tau, J):
     return J
 
 
-def _reduced_mod_f(indices, tau):
-    return {i % tau.ctx.f for i in indices}
+@lru_cache(maxsize=64)   # (context, kind, scalar): three per context
+def _shape_sets(ctx, kind, scalar):
+    """The J of every shape of the types of the kind and scalarity, in the
+    order of shapes_for."""
+    if scalar:
+        return (frozenset(),)
+    f = ctx.f
+    out = []
+    for mask in range(2 ** f):
+        part = {i for i in range(f) if (mask >> i) & 1}
+        if kind == CUSPIDAL:
+            part |= {i + f for i in range(f) if i not in part}
+        out.append(frozenset(part))
+    return tuple(sorted(out, key=sorted))
 
 
 def shapes_for(tau):
@@ -152,20 +248,12 @@ def shapes_for(tau):
 
     Principal series: every subset of Z/fZ.  Cuspidal: the 2^f subsets
     determined on 0..f-1 and extended by complementation.  Scalar: empty
-    shape only.
+    shape only.  The sets are listed once per (context, kind, scalar)
+    (_shape_sets); the shapes share one lazy reading of the type's
+    Frobenius orbits.
     """
-    if tau.is_scalar:
-        return [Shape(tau, frozenset())]
-    f = tau.ctx.f
-    out = []
-    for mask in range(2 ** f):
-        part = {i for i in range(f) if (mask >> i) & 1}
-        if tau.kind == CUSPIDAL:
-            J = part | {i + f for i in range(f) if i not in part}
-        else:
-            J = part
-        out.append(Shape(tau, frozenset(J)))
-    return sorted(out, key=lambda s: s.key())
+    orbits = _Orbits(tau)
+    return [Shape(tau, J, orbits) for J in _shape_sets(tau.ctx, tau.kind, tau.is_scalar)]
 
 
 def digit_masks(gamma, p):
@@ -237,7 +325,7 @@ def build_MN(tau, refined):
     ones = (1,) * fp
     m = _module(ctx, kind, r, ones, c)
     n = _module(ctx, kind, s, ones, d)
-    kv, kpv = tau.kvec, tau.kpvec
+    kv, kpv = shape.orbits()
     check(all({m.c[i], n.c[i]} == {kv[i], kpv[i]} and m.r[i] + n.r[i] == ep
               for i in range(fp)), "standard pair is not of the type")
     return m, n
@@ -378,6 +466,20 @@ def kext_dim_oracle(m, n):
     """
     _same_frame(m, n)
     return _kext_solve(_oracle_system(m, n))
+
+
+def kext_dim_oracles(m, n, a):
+    """(kext_dim_oracle(m, n), kext_dim_oracle(m, n')), where n' is n with
+    the coefficient indices a over one period.  The two systems differ only
+    in the second coefficient vector, so the second system is the first
+    with that vector replaced by a divided by m.a[0]; no module n' is
+    built."""
+    _same_frame(m, n)
+    system = _oracle_system(m, n)
+    field = m.field
+    unit = field.inv(m.a[0])
+    twisted = system[:-1] + (tuple(field.mul(x, unit) for x in a),)
+    return _kext_solve(system), _kext_solve(twisted)
 
 
 @lru_cache(maxsize=4096)   # oracle -p 7 -f 2 --samples 1 meets 384 systems

@@ -103,6 +103,12 @@ class TameType:
         return self.kind == PS and self.k0 == self.k0p
 
     @property
+    def delta(self):
+        """The difference class k0 - k0p mod p^{f'} - 1: gamma_digits and the
+        class data of every shape read the exponents only through it."""
+        return (self.k0 - self.k0p) % self.ekk
+
+    @property
     def kvec(self):
         """k_i = p^i k0 mod p^{f'} - 1, for i = 0..f'-1."""
         return self._frobenius_orbit(self.k0)
@@ -148,14 +154,21 @@ def gamma_digits(tau):
     The representative is the unique vector in [0, p-1]^{f'} that is not
     all p-1 (all zeros exactly for scalar types); since the j = 0 term is
     the only one prime to p, each digit is just [k_i - k'_i] mod p, and
-    k_i - k'_i = p^i (k0 - k0p) is one Frobenius orbit.
+    k_i - k'_i = p^i (k0 - k0p) is one Frobenius orbit.  So the digits
+    read only the difference class tau.delta (_delta_digits).
     """
-    ctx, kind = tau.ctx, tau.kind
-    p, ekk, k = ctx.p, ctx.ekk(kind), tau.k0 - tau.k0p
-    gamma = tuple(pw * k % ekk % p for pw in ctx.p_powers(kind))
+    return _delta_digits(tau.ctx, tau.kind, tau.delta)
+
+
+def _delta_digits(ctx, kind, delta):
+    """gamma_digits of the types of the kind with k0 - k0p = delta mod
+    p^{f'} - 1, with its three checks; the scalar types are the
+    principal-series ones with delta = 0."""
+    p, ekk = ctx.p, ctx.ekk(kind)
+    gamma = tuple(pw * delta % ekk % p for pw in ctx.p_powers(kind))
     fp = len(gamma)
     check(gamma.count(p - 1) != fp, "digit vector is all p-1")
-    check(tau.is_scalar == (gamma.count(0) == fp), "zero digits iff scalar")
+    check((kind == PS and delta == 0) == (gamma.count(0) == fp), "zero digits iff scalar")
     if kind == CUSPIDAL:
         # the pairs (i, i + f) for i < f; the pairs from i >= f are the same
         check(all(a + b == p - 1 for a, b in zip(gamma, gamma[ctx.f:])),

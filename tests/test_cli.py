@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from bktame import (LocalContext, all_weights, cli, enumerate_types, errors, gamma_digits,
-                    intlinalg, rankone, shapes, weights)
+                    intlinalg, rankone, shapes, tametypes, weights)
 from bktame.cli import run
 from definitions import admissible_by_definition
 
@@ -124,7 +124,7 @@ def test_oracle_refuses_trunc_below_1_before_any_row(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("oracle_dims", "kext_dim", "kext_dim_oracle"):
+    for name in ("oracle_dims", "kext_dim", "kext_dim_oracles"):
         monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
     for samples in ("0", "1"):
         text, code = run(["oracle", "-p", "3", "-f", "1", "--samples", samples, "--trunc", "0"])
@@ -479,7 +479,10 @@ def test_ptau_does_each_shape_and_type_once(monkeypatch):
 
 
 def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):
-    stars, alphas, digits = [], [], []
+    # each quantity is derived once at the level of the data it reads: the
+    # class data (gamma, gamma*) per (kind, delta, J), the Frobenius orbits
+    # per type, the standard pair and its one system per (type, shape)
+    classes, digits, orbits, modules, systems, alphas = [], [], [], [], [], []
 
     def counting(log, fn):
         def wrapper(*args):
@@ -487,22 +490,45 @@ def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    star = functools.cached_property(counting(stars, shapes.Shape.gamma_star.func))
-    star.__set_name__(shapes.Shape, "gamma_star")
-    monkeypatch.setattr(shapes.Shape, "gamma_star", star)
+    shapes._shape_classes.cache_clear()
+    monkeypatch.setattr(shapes, "_shape_class", counting(classes, shapes._shape_class))
+    delta_digits = counting(digits, tametypes._delta_digits)
+    for module in (tametypes, shapes):
+        monkeypatch.setattr(module, "_delta_digits", delta_digits)
+    monkeypatch.setattr(tametypes.TameType, "_frobenius_orbit",
+                        counting(orbits, tametypes.TameType._frobenius_orbit))
+    monkeypatch.setattr(shapes, "_module", counting(modules, shapes._module))
+    monkeypatch.setattr(shapes, "_oracle_system", counting(systems, shapes._oracle_system))
     alpha = functools.cached_property(counting(alphas, rankone.RankOneBK.alpha_vector.func))
     alpha.__set_name__(rankone.RankOneBK, "alpha_vector")
     monkeypatch.setattr(rankone.RankOneBK, "alpha_vector", alpha)
-    monkeypatch.setattr(shapes, "gamma_digits", counting(digits, shapes.gamma_digits))
-    report, code = run_json(["oracle", "-p", "3", "-f", "2", "--samples", "1"])
+    try:
+        report, code = run_json(["oracle", "-p", "3", "-f", "2", "--samples", "1"])
+    finally:
+        shapes._shape_classes.cache_clear()   # its entries were built by the wrappers
     assert code == 0
     kext_rows = [it for it in report["items"] if it["key"].startswith("kext|")]
     n_shapes = len({(it["type"], tuple(it["J"])) for it in kext_rows})
     assert n_shapes and len(kext_rows) == 2 * n_shapes   # products eq and ne
-    assert len(stars) == len(set(stars)) == n_shapes
-    assert len(digits) <= n_shapes
-    # modules m, n and the twisted n per shape, plus the 2 pairs of the pair sweep
-    assert len(alphas) <= 3 * n_shapes + 4
+    types = {tau.label(): tau for tau in enumerate_types(LocalContext(3, 2, 1), canonical=True)
+             if not tau.is_scalar}
+    assert {it["type"] for it in kext_rows} == set(types)
+    class_of = lambda tau: (tau.kind, (tau.k0 - tau.k0p) % tau.ekk)
+    keys = {class_of(types[it["type"]]) + (frozenset(it["J"]),) for it in kext_rows}
+    # gamma* (with its identity check) once per distinct (kind, delta, J)
+    built = [(kind, delta, J) for _, kind, delta, _, J in classes]
+    assert len(built) == len(set(built)) == len(keys) < n_shapes
+    assert set(built) == keys
+    # gamma once per (kind, delta), so at most once per type
+    assert len(digits) == len({class_of(tau) for tau in types.values()}) < len(types)
+    # the two Frobenius orbits k and k' once per nonscalar type
+    assert sorted(tau.label() for tau, _ in orbits) == sorted(2 * list(types))
+    # m and n per (type, shape), each with every integer check; no n_twist
+    assert len(modules) == 2 * n_shapes
+    # one truncated-complex system per shape, plus one per pair-sweep pair
+    assert len(systems) == n_shapes + 2
+    # alpha vectors only for the pair sweep's hom_dim: the kExt solve reads r
+    assert len(alphas) == 4
 
 
 def test_oracle_kext_sweep_solves_each_distinct_system_once():

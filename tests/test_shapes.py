@@ -13,7 +13,9 @@ from bktame import (CUSPIDAL, PS, InternalError, InvalidShape, LocalContext, NoN
                     p_tau, random_module, refined_count, refined_shapes,
                     shapes_for, sigma_tau_J, validate)
 from bktame.rng import SplitMix64
-from definitions import admissible_by_definition
+from definitions import (admissible_by_definition, gamma_by_definition,
+                         gamma_star_by_definition, kext_count_by_definition,
+                         twist_by_definition)
 
 CTX = LocalContext(3, 1, 1)
 TAU_PS = make_type(CTX, PS, 1, 0)
@@ -55,6 +57,31 @@ def _sweep_types():
     contexts = [(p, f, e) for p in (3, 5) for f in (1, 2) for e in (1, 2, 3)]
     for p, f, e in contexts + [(3, 3, 1)]:
         yield from enumerate_types(LocalContext(p, f, e))
+
+
+@pytest.mark.parametrize("p, f, e", [(3, 1, 1), (3, 2, 1), (5, 2, 1), (3, 3, 1), (3, 2, 2)])
+def test_class_data_is_shared_per_difference_class_and_matches_definitions(p, f, e):
+    # gamma, gamma*, T and the kExt count read only (kind, delta, J), with
+    # delta = k0 - k0p mod p^{f'} - 1: each shape's entry must equal the
+    # definitions, must have been checked on the residues of the shape's own
+    # pair, and must be the one entry of every type of its class
+    ctx = LocalContext(p, f, e)
+    entries = {}   # (kind, delta, J) -> the entry of the first shape met
+    for tau in enumerate_types(ctx):
+        fp, ekk = tau.fprime, tau.ekk
+        gamma = gamma_by_definition(tau.k0, tau.k0p, p, fp)
+        for shape in shapes_for(tau):
+            J, entry = shape.J, shape._class
+            star = gamma_star_by_definition(J, gamma, p)
+            assert (shape.gamma, shape.gamma_star) == (gamma, star)
+            assert shape.twist == twist_by_definition(J, gamma, p)
+            assert shape.kext_count == kext_count_by_definition(J, star, f)
+            c, d = shape.cd
+            assert entry.residues == tuple((ci - di) % ekk for ci, di in zip(c, d))
+            key = (tau.kind, (tau.k0 - tau.k0p) % ekk, J)
+            assert entries.setdefault(key, entry) is entry
+    # one entry per distinct (kind, delta, J), shared by several types
+    assert len(entries) < sum(len(shapes_for(tau)) for tau in enumerate_types(ctx))
 
 
 def test_refined_count_is_the_number_of_refined_shapes():

@@ -9,7 +9,7 @@ from bktame import (CUSPIDAL, PS, LocalContext, NotInPTau, ScalarType,
                     jh_factors, make_type, maximal_refined, p_tau,
                     shapes_for, sigma_tau_J, solve_n_tau,
                     verify_orthogonality)
-from bktame import weights
+from bktame import shapes, tametypes, weights
 from bktame.weights import BOTH_IN, BOTH_OUT, GENERIC, INTO_J, UNIT, ZERO
 
 CTX = LocalContext(3, 1, 1)
@@ -81,6 +81,36 @@ def test_jh_factors_examples():
     assert sum(w.dim for w in c_weights) == CTX.q - 1
     scalar = make_type(CTX, PS, 0, 0)
     assert sum(w.dim for w in jh_factors(scalar)) == 1
+
+
+def test_jh_factors_derives_gamma_once_per_type_and_class(monkeypatch):
+    # p_tau derives gamma once per type; the shapes' gamma, gamma* and T come
+    # from their class, derived once per (kind, delta); no Frobenius orbit
+    digits, orbits = [], []
+
+    def counting(log, fn):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+        return wrapper
+
+    delta_digits = counting(digits, tametypes._delta_digits)
+    for module in (tametypes, shapes):
+        monkeypatch.setattr(module, "_delta_digits", delta_digits)
+    monkeypatch.setattr(tametypes.TameType, "_frobenius_orbit",
+                        counting(orbits, tametypes.TameType._frobenius_orbit))
+    ctx = LocalContext(3, 2, 1)
+    types = enumerate_types(ctx, canonical=True)
+    weights.jh_factors.cache_clear()
+    shapes._shape_classes.cache_clear()
+    try:
+        assert all(jh_factors(tau) for tau in types)
+    finally:
+        weights.jh_factors.cache_clear()
+        shapes._shape_classes.cache_clear()
+    classes = {(tau.kind, (tau.k0 - tau.k0p) % tau.ekk) for tau in types}
+    assert len(digits) == len(types) + len(classes)
+    assert orbits == []
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 1)])
