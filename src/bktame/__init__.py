@@ -15,9 +15,8 @@ from .rankone import (RankOneBK, exhaustive_modules, hom_dim, random_module,
                       twist_conjugate, validate)
 from .rng import SplitMix64
 from .shapes import (RefinedShape, Shape, build_MN, ext_dim, family_dim,
-                     irred_bound, is_admissible, kext_dim, kext_dim_oracle,
-                     maximal_refined, oracle_dims, p_tau, refined_count,
-                     refined_shapes, shapes_for)
+                     irred_bound, kext_dim, kext_dim_oracle, maximal_refined,
+                     oracle_dims, p_tau, refined_shapes, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, TameType,
                         enumerate_types, gamma_digits, make_type)
 from .weights import (SerreWeight, all_weights, c_sigma_cycle, char_TN,

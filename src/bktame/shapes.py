@@ -11,7 +11,6 @@ the answers agree.
 
 import dataclasses
 import itertools
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -20,17 +19,17 @@ from .errors import (InvalidShape, NoNonzeroMap, RangeError, TruncationUnstable,
                      check)
 from .gfarith import gauss_rank
 from .rankone import _alpha, _module, _same_frame, hom_dim, twist_conjugate
-from .tametypes import CUSPIDAL, PS, TameType, _delta_digits, gamma_digits
+from .tametypes import CUSPIDAL, PS, TameType, _delta_digits
 
 
 @dataclass(frozen=True)
 class Shape:
     """A shape J of the type tau.  Each quantity is derived once, at the level
-    of the data it reads: the frame (transitions, their masks and their set
-    mod f, the y-ranges) per (context, kind, J) (_shape_frame); the class data
-    (digits gamma, twisted digits gamma*, twist sum T, kExt count) per
+    of the data it reads: the frame (transitions, their set mod f, the
+    y-ranges) per (context, kind, J) (_shape_frame); the class data (twisted
+    digits gamma*, twist sum T, kExt count, membership of P_tau) per
     (context, kind, tau.delta, J), tau.delta = k0 - k0p mod p^{f'} - 1
-    (_shape_classes); and per shape only the descent exponents (c, d), read
+    (shape_classes); and per shape only the descent exponents (c, d), read
     from the type's Frobenius orbits.
 
     orbits (an _Orbits of tau) gives (tau.kvec, tau.kpvec); shapes_for
@@ -44,8 +43,11 @@ class Shape:
 
     def __post_init__(self):
         fp = self.tau.fprime
-        if any(not 0 <= i < fp for i in self.J):
-            raise InvalidShape("shape indices must lie in Z/%dZ" % fp)
+        # exact ints only (no float, str or bool), as in LocalContext; the
+        # memos are keyed on J, so a set or tuple would fail at first use
+        if type(self.J) is not frozenset or any(type(i) is not int or not 0 <= i < fp
+                                                for i in self.J):
+            raise InvalidShape("J must be a frozenset of ints in Z/%dZ" % fp)
         if self.tau.is_scalar and self.J:
             raise InvalidShape("scalar types only admit the empty shape")
         if self.tau.kind == CUSPIDAL:
@@ -64,30 +66,17 @@ class Shape:
 
     @cached_property
     def _class(self):
-        tau = self.tau
-        return _shape_classes(tau.ctx, tau.kind, tau.delta)[self.J]
+        return shape_classes(self.tau)[self.J]
 
     @property
     def transitions(self):
         """Indices i with exactly one of i-1, i in J."""
         return self._frame.transitions
 
-    @cached_property
-    def transition_masks(self):
-        """(into, out): the bit masks of the transitions entering J (i in J)
-        and leaving J (i not in J).  Kept on the shape, as is_admissible
-        reads them once per (type, shape)."""
-        return self._frame.masks
-
     @property
     def y_ranges(self):
         """The range of each y_i: [1, e] where i is a transition mod f, else [0, e]."""
         return self._frame.y_ranges
-
-    @property
-    def gamma(self):
-        """gamma_digits of the type."""
-        return self._class.gamma
 
     @property
     def gamma_star(self):
@@ -115,6 +104,12 @@ class Shape:
         the closed-form kExt dimension away from the exceptional branch."""
         return self._class.kext_count
 
+    @property
+    def admissible(self):
+        """Whether the shape lies in P_tau: no transition entering J (i in J)
+        meets a digit gamma_i = 0 and none leaving J a digit p - 1."""
+        return self._class.admissible
+
     @cached_property
     def cd(self):
         """Descent exponents (c, d) of the shape's standard pair: c_i is k_i
@@ -141,24 +136,23 @@ class _Orbits:
 
 
 # the data of a shape that reads only (context, kind, J): the transitions,
-# their (into, out) bit masks, their set mod f and the y-ranges
-_Frame = namedtuple("_Frame", "transitions masks low y_ranges")
+# their set mod f and the y-ranges
+_Frame = namedtuple("_Frame", "transitions low y_ranges")
 
 
 @lru_cache(maxsize=1 << 10)   # 2^f per (context, kind): 32 per context at f = 4
 def _shape_frame(ctx, kind, J):
     fp, f = ctx.fprime(kind), ctx.f
     trans = frozenset(i for i in range(fp) if ((i - 1) % fp in J) != (i in J))
-    masks = (sum(1 << i for i in trans if i in J), sum(1 << i for i in trans if i not in J))
     low = frozenset(i % f for i in trans)
     y_ranges = tuple(range(1 if i in low else 0, ctx.e + 1) for i in range(f))
-    return _Frame(trans, masks, low, y_ranges)
+    return _Frame(trans, low, y_ranges)
 
 
-# the data of a shape that reads only (context, kind, delta, J): gamma,
-# the residues [c_i - d_i] mod p^{f'} - 1 its identity check ran on, gamma*,
-# the twist sum T and the kExt count
-_Class = namedtuple("_Class", "gamma residues gamma_star twist kext_count")
+# the data of a shape that reads only (context, kind, delta, J): the
+# residues [c_i - d_i] mod p^{f'} - 1 its identity check ran on, gamma*, the
+# twist sum T, the kExt count and membership of P_tau
+_Class = namedtuple("_Class", "residues gamma_star twist kext_count admissible")
 
 
 @lru_cache(maxsize=1 << 12)   # oracle -p 11 -f 2 meets 239 (kind, delta) classes
@@ -171,13 +165,20 @@ def _shape_classes(ctx, kind, delta):
             for J in _shape_sets(ctx, kind, kind == PS and delta == 0)}
 
 
+def shape_classes(tau):
+    """{J: class data} over every shape of tau, shared by the types of its
+    (kind, delta) class."""
+    return _shape_classes(tau.ctx, tau.kind, tau.delta)
+
+
 def fill_shape_classes(types):
     """Build the class data of every shape of the types in one pass, before
     a sweep over them reads it.  Built class by class during the sweep, the
     long-lived entries land among the sweep's short-lived rows, and the peak
-    RSS of oracle -p 7 -f 2 --samples 1 rose by 7% (32.0 to 34.1 MB)."""
+    RSS of oracle -p 7 -f 2 --samples 1 rose by 7% (32.0 to 34.1 MB), that of
+    ptau -p 5 -f 3 by 4.6%."""
     for tau in types:
-        _shape_classes(tau.ctx, tau.kind, tau.delta)
+        shape_classes(tau)
 
 
 def _shape_class(ctx, kind, delta, gamma, J):
@@ -195,7 +196,8 @@ def _shape_class(ctx, kind, delta, gamma, J):
     twist = sum((gamma[i] + (i not in J)) * ppow[-i % fp]
                 for i in range(fp) if (i - 1) % fp in J) % ekk
     count = sum(1 for i in range(f) if i in frame.low and gs[i] == 0)
-    return _Class(gamma, residues, gs, twist, count)
+    admissible = all(gamma[i] != (0 if i in J else p - 1) for i in frame.transitions)
+    return _Class(residues, gs, twist, count, admissible)
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,8 @@ class RefinedShape:
     y: tuple
 
     def __post_init__(self):
+        if type(self.y) is not tuple or any(type(yi) is not int for yi in self.y):
+            raise InvalidShape("y must be a tuple of ints, got %r" % (self.y,))
         ranges = self.shape.y_ranges
         if len(self.y) != len(ranges):
             raise InvalidShape("y must have length f")
@@ -256,51 +260,15 @@ def shapes_for(tau):
     return [Shape(tau, J, orbits) for J in _shape_sets(tau.ctx, tau.kind, tau.is_scalar)]
 
 
-def digit_masks(gamma, p):
-    """(zero, top): the bit masks of the indices i with gamma_i = 0 and with
-    gamma_i = p - 1."""
-    zero = top = 0
-    for i, g in enumerate(gamma):
-        if g == 0:
-            zero |= 1 << i
-        elif g == p - 1:
-            top |= 1 << i
-    return zero, top
-
-
-def is_admissible(shape, gamma, masks=None):
-    """Whether the shape lies in P_tau, given gamma = gamma_digits(tau):
-    its transitions avoid the forbidden digit values, i.e. leaving J
-    requires gamma_i != p-1 and entering J requires gamma_i != 0.
-
-    Tested by bit masks: no transition entering J (Shape.transition_masks)
-    may meet a zero digit, and no transition leaving J a (p-1) digit.
-    masks is digit_masks(gamma, p), for callers that test many shapes
-    against one gamma; without it the masks are computed here.
-
-    tau may be any type in shape.tau's (kind, scalar) group, which share
-    their shapes and transitions; ptau passes one shape list per group."""
-    zero, top = digit_masks(gamma, shape.tau.ctx.p) if masks is None else masks
-    into, out = shape.transition_masks
-    return not (into & zero or out & top)
-
-
 def p_tau(tau):
     """The admissible shapes, in the order of shapes_for."""
-    gamma = gamma_digits(tau)
-    masks = digit_masks(gamma, tau.ctx.p)
-    return [shape for shape in shapes_for(tau) if is_admissible(shape, gamma, masks)]
+    return [shape for shape in shapes_for(tau) if shape.admissible]
 
 
 def refined_shapes(tau, J):
     """All admissible y-vectors for the shape, lexicographically ordered."""
     shape = _to_shape(tau, J)
     return [RefinedShape(shape, y) for y in itertools.product(*shape.y_ranges)]
-
-
-def refined_count(tau, J):
-    """len(refined_shapes(tau, J)), without building the refined shapes."""
-    return math.prod(len(rng) for rng in _to_shape(tau, J).y_ranges)
 
 
 def maximal_refined(tau, J):

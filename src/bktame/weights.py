@@ -16,7 +16,7 @@ from .errors import InvalidShape, NotInPTau, ScalarType, SteinbergWeight, check
 from .gfarith import _digits
 from .intlinalg import IntegerColumnSolver
 from .rng import SplitMix64
-from .shapes import _to_shape, is_admissible, p_tau
+from .shapes import _to_shape, p_tau
 from .tametypes import CUSPIDAL, enumerate_types
 
 ZERO = "zero"
@@ -71,7 +71,7 @@ def sigma_tau_J(tau, J):
     types once it is checked to factor through the norm.
     """
     shape = _to_shape(tau, J)
-    if not is_admissible(shape, shape.gamma):
+    if not shape.admissible:
         raise NotInPTau("shape %s is not admissible for %s"
                         % (sorted(shape.J), tau.label()))
     p, f, q, trans = tau.ctx.p, tau.ctx.f, tau.ctx.q, shape.transitions

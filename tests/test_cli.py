@@ -263,9 +263,8 @@ def test_no_module_uses_assert():
     assert not found, "assert statements vanish under python -O: %s" % found
 
 
-_SHAPE_ENTRY_POINTS = {"refined_shapes", "refined_count", "maximal_refined", "build_MN",
-                       "kext_dim", "sigma_tau_J", "char_TN", "dieudonne_pattern",
-                       "divisor_support"}
+_SHAPE_ENTRY_POINTS = {"refined_shapes", "maximal_refined", "build_MN", "kext_dim",
+                       "sigma_tau_J", "char_TN", "dieudonne_pattern", "divisor_support"}
 
 
 def test_every_shape_argument_passes_the_one_gate():
@@ -299,7 +298,7 @@ def test_every_shape_argument_passes_the_one_gate():
 _ORACLE_SOLVES = ("_complex_matrix", "_dims_at_level", "_nullities", "_oracle_solve",
                   "_kext_solve")
 _CLOSED_FORMS = ("hom_dim", "ext_dim", "kext_dim", "kext_count", "gamma_star",
-                 "galois_character", "alpha_vector")
+                 "galois_character", "alpha_vector", "admissible", "p_tau")
 
 
 def test_oracle_solves_name_no_closed_form():
@@ -432,10 +431,11 @@ def test_ptau_in_ptau_is_admissibility_by_definition(p, f, e, ordered):
 
 
 def test_ptau_does_each_shape_and_type_once(monkeypatch):
-    # the shape columns and transition masks are built once per (kind,
-    # scalar) group of types; each type pays only for its label, its digits,
-    # their masks and admissibility
-    built, listed, digits, digit_masks, masks = [], [], [], [], []
+    # the shape columns (with their refined shapes) are built once per (kind,
+    # scalar) group of types, and the class data (with admissibility) once
+    # per (kind, delta, J); each type pays only for its label and for reading
+    # its class table, with no digits of its own
+    built, listed, classes, digits, type_digits, making = [], [], [], [], [], []
 
     def counting(log, fn):
         def wrapper(*args):
@@ -443,39 +443,86 @@ def test_ptau_does_each_shape_and_type_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(shapes.RefinedShape, "__post_init__",
-                        counting(built, shapes.RefinedShape.__post_init__))
-    transition_masks = functools.cached_property(
-        counting(masks, shapes.Shape.transition_masks.func))
-    transition_masks.__set_name__(shapes.Shape, "transition_masks")
-    monkeypatch.setattr(shapes.Shape, "transition_masks", transition_masks)
-    monkeypatch.setattr(cli, "digit_masks", counting(digit_masks, shapes.digit_masks))
+    post_init, shape_columns = shapes.RefinedShape.__post_init__, cli._shape_columns
+
+    def building(rs):
+        built.append((rs, bool(making)))
+        post_init(rs)
+
+    def making_columns(tau):
+        making.append(tau)
+        try:
+            return shape_columns(tau)
+        finally:
+            making.pop()
+
+    monkeypatch.setattr(shapes.RefinedShape, "__post_init__", building)
+    monkeypatch.setattr(cli, "_shape_columns", making_columns)
     shapes_for = counting(listed, shapes.shapes_for)
-    gamma_digits = counting(digits, shapes.gamma_digits)
     for module in (shapes, cli):
         monkeypatch.setattr(module, "shapes_for", shapes_for)
+    monkeypatch.setattr(shapes, "_shape_class", counting(classes, shapes._shape_class))
+    delta_digits = counting(digits, tametypes._delta_digits)
+    gamma_digits = counting(type_digits, tametypes.gamma_digits)
+    for module in (tametypes, shapes):
+        monkeypatch.setattr(module, "_delta_digits", delta_digits)
+    for module in (tametypes, cli):
         monkeypatch.setattr(module, "gamma_digits", gamma_digits)
     group = lambda tau: (tau.kind, tau.is_scalar)
-    for argv in ("ptau -p 3 -f 2", "ptau -p 3 -f 2 -e 2 --ordered"):
-        del built[:], listed[:], digits[:], digit_masks[:], masks[:]
-        report, code = run_json(argv.split())
+    for argv, ctx in (("ptau -p 3 -f 2", LocalContext(3, 2, 1)),
+                      ("ptau -p 3 -f 2 -e 2 --ordered", LocalContext(3, 2, 2))):
+        del built[:], listed[:], classes[:], digits[:], type_digits[:]
+        shapes._shape_classes.cache_clear()
+        try:
+            report, code = run_json(argv.split())
+        finally:
+            shapes._shape_classes.cache_clear()   # its entries were built by the wrappers
         assert code == 0
         rows = report["items"]
-        types = sorted({it["type"] for it in rows})
-        groups = {it["type"].split(":")[0] for it in rows}   # ps, cusp, scalar
+        types = {tau.label(): tau for tau in enumerate_types(ctx)}
+        row_types = [types[it["type"]] for it in rows]
+        groups = {group(tau) for tau in row_types}   # ps, cusp, scalar
         assert len(groups) == 3
-        distinct = {(it["type"].split(":")[0], tuple(it["J"])) for it in rows}
-        assert len(distinct) < len(rows)
-        # one maximal refined shape per distinct (kind, scalar, J)
-        built_keys = [group(rs.shape.tau) + (rs.shape.key(),) for (rs,) in built]
-        assert len(built_keys) == len(set(built_keys)) == len(distinct)
+        counts = {group(tau) + (tuple(it["J"]),): it["refined_count"]
+                  for tau, it in zip(row_types, rows)}
+        assert len(counts) < len(rows)
+        # the refined shapes of each distinct (kind, scalar, J), and its
+        # maximal one, built only while the group columns are made
+        assert all(inside for _, inside in built)
+        built_keys = [group(rs.shape.tau) + (rs.shape.key(),) for rs, _ in built]
+        assert sorted(set(built_keys)) == sorted(counts)
+        assert len(built_keys) == sum(count + 1 for count in counts.values())
         assert len(listed) == len({group(tau) for (tau,) in listed}) == len(groups)
-        # one pair of transition masks per distinct (kind, scalar, J)
-        mask_keys = [group(shape.tau) + (shape.key(),) for (shape,) in masks]
-        assert len(mask_keys) == len(set(mask_keys)) == len(distinct)
-        # gamma_digits and its masks once per type
-        assert sorted(tau.label() for (tau,) in digits) == types
-        assert len(digit_masks) == len(types)
+        # the class data once per distinct (kind, delta, J); gamma once per
+        # (kind, delta), and never per type
+        keys = {(tau.kind, tau.delta, frozenset(it["J"])) for tau, it in zip(row_types, rows)}
+        built_classes = [(kind, delta, J) for _, kind, delta, _, J in classes]
+        assert len(built_classes) == len(set(built_classes)) == len(keys) < len(rows)
+        assert set(built_classes) == keys
+        assert len(digits) == len({key[:2] for key in keys})
+        assert type_digits == []
+
+
+def test_oracle_ne_rows_check_admissibility(monkeypatch):
+    # at distinct products kExt vanishes exactly on P_tau, so the kExt
+    # sweep's ne rows check the admissibility ptau reports as in_ptau;
+    # flipping it turns every ne row red and no other row
+    shape_class = shapes._shape_class
+
+    def flipped(*args):
+        entry = shape_class(*args)
+        return entry._replace(admissible=not entry.admissible)
+
+    monkeypatch.setattr(shapes, "_shape_class", flipped)
+    shapes._shape_classes.cache_clear()
+    try:
+        report, code = run_json(["oracle", "-p", "3", "-f", "2", "--samples", "1"])
+    finally:
+        shapes._shape_classes.cache_clear()   # its entries were flipped
+    assert code == 1
+    ne_rows = {it["key"] for it in report["items"] if it.get("products") == "ne"}
+    assert ne_rows
+    assert {it["key"] for it in report["items"] if not it["ok"]} == ne_rows
 
 
 def test_oracle_kext_sweep_does_each_invariant_once(monkeypatch):

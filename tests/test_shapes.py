@@ -5,13 +5,12 @@ import pytest
 from bktame import rankone, shapes
 from bktame import (CUSPIDAL, PS, InternalError, InvalidShape, LocalContext, NoNonzeroMap,
                     RangeError, TruncationUnstable,
-                    Shape, build_MN, build_field, char_TN, dieudonne_pattern,
+                    RefinedShape, Shape, build_MN, build_field, char_TN, dieudonne_pattern,
                     divisor_support, enumerate_types, ext_dim,
                     exhaustive_modules, family_dim,
                     gamma_digits, hom_dim, irred_bound, kext_dim, kext_dim_oracle,
-                    is_admissible, make_type, maximal_refined, oracle_dims,
-                    p_tau, random_module, refined_count, refined_shapes,
-                    shapes_for, sigma_tau_J, validate)
+                    make_type, maximal_refined, oracle_dims, p_tau, random_module,
+                    refined_shapes, shapes_for, sigma_tau_J, validate)
 from bktame.rng import SplitMix64
 from definitions import (admissible_by_definition, gamma_by_definition,
                          gamma_star_by_definition, kext_count_by_definition,
@@ -33,6 +32,41 @@ def test_shape_validation():
         Shape(TAU_C, frozenset({0, 1}))  # violates the complement rule
     with pytest.raises(InvalidShape):
         Shape(make_type(CTX, PS, 1, 1), frozenset({0}))  # scalar
+
+
+@pytest.mark.parametrize("J", [{0.5}, {"0"}, {True}, {1.0}, {0, 0.5}],
+                         ids=["half", "str", "bool", "float", "int_and_half"])
+def test_shape_indices_must_be_exact_ints(J):
+    # a float, str or bool index is refused up front, not met later as a
+    # KeyError of the class table, a TypeError, or a count for another J
+    tau = make_type(LocalContext(3, 2, 1), PS, 1, 0)
+    calls = [lambda: Shape(tau, frozenset(J)), lambda: kext_dim(tau, J, 1, 1),
+             lambda: sigma_tau_J(tau, J), lambda: char_TN(tau, J),
+             lambda: refined_shapes(tau, J), lambda: maximal_refined(tau, J)]
+    for call in calls:
+        with pytest.raises(InvalidShape, match="frozenset of ints"):
+            call()
+
+
+@pytest.mark.parametrize("J", [{0}, [0], (0,)], ids=["set", "list", "tuple"])
+def test_shape_J_must_be_a_frozenset(J):
+    # the frame and class memos are keyed on J: a set or list would raise
+    # TypeError at first use, a tuple KeyError; the (tau, J) entry points
+    # take any iterable of indices through _to_shape
+    tau = make_type(LocalContext(3, 2, 1), PS, 1, 0)
+    with pytest.raises(InvalidShape, match="frozenset of ints"):
+        Shape(tau, J)
+    assert kext_dim(tau, J, 1, 1) == kext_dim(tau, frozenset({0}), 1, 1)
+
+
+@pytest.mark.parametrize("y", [(2.0,), (True,), [2], (1.5,)],
+                         ids=["float", "bool", "list", "half"])
+def test_refined_shape_y_must_be_a_tuple_of_exact_ints(y):
+    tau = make_type(LocalContext(3, 1, 2), PS, 1, 0)
+    shape = Shape(tau, frozenset({0}))
+    with pytest.raises(InvalidShape, match="tuple of ints"):
+        RefinedShape(shape, y)
+    assert build_MN(tau, RefinedShape(shape, (2,)))[0].r == (4,)
 
 
 def test_p_tau_examples():
@@ -73,7 +107,9 @@ def test_class_data_is_shared_per_difference_class_and_matches_definitions(p, f,
         for shape in shapes_for(tau):
             J, entry = shape.J, shape._class
             star = gamma_star_by_definition(J, gamma, p)
-            assert (shape.gamma, shape.gamma_star) == (gamma, star)
+            assert gamma_digits(tau) == gamma
+            assert shape.gamma_star == star
+            assert shape.admissible == admissible_by_definition(J, gamma, p)
             assert shape.twist == twist_by_definition(J, gamma, p)
             assert shape.kext_count == kext_count_by_definition(J, star, f)
             c, d = shape.cd
@@ -84,20 +120,13 @@ def test_class_data_is_shared_per_difference_class_and_matches_definitions(p, f,
     assert len(entries) < sum(len(shapes_for(tau)) for tau in enumerate_types(ctx))
 
 
-def test_refined_count_is_the_number_of_refined_shapes():
-    for tau in _sweep_types():
-        for shape in shapes_for(tau):
-            assert refined_count(tau, shape) == len(refined_shapes(tau, shape))
-
-
 def test_admissibility_predicate_agrees_with_p_tau():
     for tau in _sweep_types():
-        gamma = gamma_digits(tau)
+        gamma = gamma_by_definition(tau.k0, tau.k0p, tau.ctx.p, tau.fprime)
         admissible = set(p_tau(tau))
         for shape in shapes_for(tau):
-            verdict = is_admissible(shape, gamma)
-            assert verdict == (shape in admissible)
-            assert verdict == admissible_by_definition(shape.J, gamma, tau.ctx.p)
+            assert shape.admissible == (shape in admissible)
+            assert shape.admissible == admissible_by_definition(shape.J, gamma, tau.ctx.p)
 
 
 def test_build_MN_ps_example():
@@ -195,7 +224,6 @@ def test_module_builders_equal_validate():
 # every entry point that reads a shape of tau, called on a Shape or on indices
 _SHAPE_CALLS = {
     "refined_shapes": lambda tau, J: refined_shapes(tau, J),
-    "refined_count": lambda tau, J: refined_count(tau, J),
     "maximal_refined": lambda tau, J: maximal_refined(tau, J),
     "kext_dim": lambda tau, J: kext_dim(tau, J, 1, 1),
     "sigma_tau_J": lambda tau, J: sigma_tau_J(tau, J),

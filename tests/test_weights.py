@@ -84,8 +84,9 @@ def test_jh_factors_examples():
 
 
 def test_jh_factors_derives_gamma_once_per_type_and_class(monkeypatch):
-    # p_tau derives gamma once per type; the shapes' gamma, gamma* and T come
-    # from their class, derived once per (kind, delta); no Frobenius orbit
+    # p_tau reads admissibility from the class data, and gamma*, T and
+    # admissibility come from gamma derived once per (kind, delta), never
+    # per type; no Frobenius orbit
     digits, orbits = [], []
 
     def counting(log, fn):
@@ -109,7 +110,7 @@ def test_jh_factors_derives_gamma_once_per_type_and_class(monkeypatch):
         weights.jh_factors.cache_clear()
         shapes._shape_classes.cache_clear()
     classes = {(tau.kind, (tau.k0 - tau.k0p) % tau.ekk) for tau in types}
-    assert len(digits) == len(types) + len(classes)
+    assert len(digits) == len(classes)
     assert orbits == []
 
 
