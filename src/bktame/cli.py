@@ -2,14 +2,21 @@
 run formula-vs-oracle sweeps, solve the cycle decompositions, and emit
 machine-readable reports.
 
-Reports are deterministic for a fixed (config, seed): items are sorted by
-a canonical key, JSON is emitted with sorted keys, and the summary's
-millis field is pinned to zero (wall-clock timing goes to stderr) so that
-repeated runs are byte-identical.  All JSON numbers are exact integers.
+Reports are deterministic for a fixed (config, seed): every command yields
+its rows in strictly increasing key order, which render checks and does not
+sort, JSON is emitted with sorted keys, and the summary's millis field is
+pinned to zero (wall-clock timing goes to stderr) so that repeated runs are
+byte-identical.  All JSON numbers are exact integers.
+
+A key is compared as text, so each command orders what its keys start
+with as text: types by label() ("ps:1,1" < "ps:1,10"), or by label() + "|"
+where the key goes on after the label ("ps:1,10|..." < "ps:1,1|..."), and
+shapes by _shape_str(J).
 """
 
 import argparse
 import json
+import re
 import sys
 import time
 from operator import itemgetter
@@ -20,8 +27,8 @@ from .gfarith import _digits
 from .rankone import exhaustive_modules, hom_dim, random_module
 from .rng import SplitMix64
 from .shapes import (build_MN, ext_dim, family_dim, fill_shape_classes, kext_dim,
-                     kext_dim_oracles, maximal_refined, oracle_dims, p_tau,
-                     refined_shapes, shape_classes, shapes_for)
+                     kext_dim_oracles, maximal_refined, oracle_dims, refined_shapes,
+                     shape_classes, shapes_for)
 from .tametypes import (CUSPIDAL, PS, LocalContext, enumerate_types,
                         gamma_digits, make_type)
 from .weights import (all_weights, c_sigma_cycle, char_TN, components_count,
@@ -29,6 +36,8 @@ from .weights import (all_weights, c_sigma_cycle, char_TN, components_count,
                       sigma_tau_J, solve_n_tau)
 
 _WRITE_SLICE = 1 << 20   # characters per write of a report
+_CHUNK_ROWS = 4096       # rendered rows joined into one chunk of a report
+_RESIDUE = re.compile("[0-9]+")   # a residue of a type selector: ASCII digits only
 
 _json_str = json.encoder.encode_basestring_ascii
 _JSON_LEAVES = {str: _json_str, int: int.__repr__, type(None): lambda _: "null",
@@ -39,20 +48,20 @@ _INT_LISTS = {}   # (pad, *items) -> text of a list of exact ints
 
 
 def _parse_type_selector(ctx, text):
-    """Grammar: ps:<k0>,<k0p> | cusp:<k0> | scalar:<k0>."""
+    """Grammar: ps:<k0>,<k0p> | cusp:<k0> | scalar:<k0>, each residue a run
+    of ASCII digits (no sign, space, underscore or other script's digit)."""
+    head, _, rest = text.partition(":")
+    residues = rest.split(",")
+    if ({"ps": 2, "scalar": 1, "cusp": 1}.get(head) != len(residues)
+            or not all(_RESIDUE.fullmatch(x) for x in residues)):
+        raise errors.BadResidue("bad type selector %r" % text)
+    k0, k0p = int(residues[0]), int(residues[-1])
     try:
-        head, _, rest = text.partition(":")
-        if head == "ps":
-            k0, k0p = (int(x) for x in rest.split(","))
-            return make_type(ctx, PS, k0, k0p)
-        if head == "scalar":
-            k0 = int(rest)
-            return make_type(ctx, PS, k0, k0)
         if head == "cusp":
-            return make_type(ctx, CUSPIDAL, int(rest))
-    except (ValueError, errors.BKError) as exc:
+            return make_type(ctx, CUSPIDAL, k0)
+        return make_type(ctx, PS, k0, k0p)   # scalar: k0p is k0
+    except errors.BKError as exc:
         raise errors.BadResidue("bad type selector %r: %s" % (text, exc))
-    raise errors.BadResidue("bad type selector %r" % text)
 
 
 def _selected_types(ctx, args):
@@ -75,16 +84,36 @@ def _cycle_json(weights):
             for w in sorted(weights, key=lambda w: (w.t, w.s))]
 
 
+def _by_label(types, after=""):
+    """(label, type) of each type, in the order of label() + after: the text
+    its rows' keys start with.  Only the types are held; each label is made
+    again as its rows are."""
+    for tau in sorted(types, key=lambda tau: tau.label() + after):
+        yield tau.label(), tau
+
+
+def _keyed_shapes(tau, orders):
+    """(_shape_str(J), shape) of each shape of tau, in the order of that
+    text.  Every type of a (kind, scalarity) group lists the same J in the
+    same order, so orders keeps the order per group and each text is made
+    once per group."""
+    group = (tau.kind, tau.is_scalar)
+    shapes = shapes_for(tau)
+    if group not in orders:
+        orders[group] = sorted((_shape_str(shape.J), n) for n, shape in enumerate(shapes))
+    return [(text, shapes[n]) for text, n in orders[group]]
+
+
 def cmd_types(ctx, args):
     p = ctx.p
-    for tau in _selected_types(ctx, args):
+    for label, tau in _by_label(_selected_types(ctx, args)):
         gamma, fp, ekk = gamma_digits(tau), tau.fprime, tau.ekk
         kv, kpv = tau.kvec, tau.kpvec
         # gamma's defining identity: sum_j p^j gamma[i - j] = [k_i - k'_i]
         ok = all(sum(p ** j * gamma[(i - j) % fp] for j in range(fp)) == (kv[i] - kpv[i]) % ekk
                  for i in range(fp))
         yield {
-            "key": tau.label(),
+            "key": label,
             "kind": tau.kind,
             "k0": tau.k0,
             "k0p": tau.k0p,
@@ -96,13 +125,15 @@ def cmd_types(ctx, args):
 
 def _shape_columns(tau):
     """Each J of tau with its key suffix, sorted J, refined-shape count,
-    maximal y and family dimension.  These read only the kind, f', f, e and
-    J, so every type of tau's kind and scalarity has the same columns."""
+    maximal y and family dimension, in the order of the suffix.  These read
+    only the kind, f', f, e and J, so every type of tau's kind and scalarity
+    has the same columns."""
     columns = []
     for shape in shapes_for(tau):
         rs = maximal_refined(tau, shape)
         columns.append((shape.J, "|J=" + _shape_str(shape.J), sorted(shape.J),
                         len(refined_shapes(tau, shape)), list(rs.y), family_dim(tau, rs)))
+    columns.sort(key=itemgetter(1))
     return columns
 
 
@@ -112,11 +143,11 @@ def cmd_ptau(ctx, args):
     # them, it raised the peak RSS of ptau -p 5 -f 3 by 4.6% (110.7 to 115.8 MB)
     fill_shape_classes(types)
     columns = {}   # (kind, scalar) -> _shape_columns of the group's first type
-    for tau in types:
+    for label, tau in _by_label(types, "|"):
         group = (tau.kind, tau.is_scalar)
         if group not in columns:
             columns[group] = _shape_columns(tau)
-        label, classes = tau.label(), shape_classes(tau)
+        classes = shape_classes(tau)
         for J, suffix, sorted_J, count, y, dim in columns[group]:
             yield {
                 "key": label + suffix,
@@ -131,17 +162,21 @@ def cmd_ptau(ctx, args):
 
 
 def cmd_weights(ctx, args):
-    for tau in _selected_types(ctx, args):
+    orders = {}
+    for label, tau in _by_label(_selected_types(ctx, args), "|"):
         weights = []
-        for shape in p_tau(tau):
+        # the J= rows of P_tau, then dimsum ("J" < "d")
+        for text, shape in _keyed_shapes(tau, orders):
+            if not shape.admissible:
+                continue
             w = sigma_tau_J(tau, shape)
             weights.append(w)
             exp_formula = char_TN(tau, shape)
             _, n = build_MN(tau, maximal_refined(tau, shape))
             exp_alpha = n.galois_character.tame_exp
             yield {
-                "key": "%s|J=%s" % (tau.label(), _shape_str(shape.J)),
-                "type": tau.label(),
+                "key": "%s|J=%s" % (label, text),
+                "type": label,
                 "J": sorted(shape.J),
                 "weight": _weight_json(w),
                 "dim": w.dim,
@@ -155,8 +190,8 @@ def cmd_weights(ctx, args):
         # the weights must also be the Jordan-Holder factors of the type's
         # reduction, by the Brauer-character oracle
         yield {
-            "key": "%s|dimsum" % tau.label(),
-            "type": tau.label(),
+            "key": "%s|dimsum" % label,
+            "type": label,
             "dim_total": total,
             "dim_expected": want,
             "ok": total == want and weights_character(weights) == jh_oracle(tau),
@@ -168,8 +203,51 @@ def _module_json(m):
     return {"r": list(m.r), "a": [list(_digits(x, p, fp)) for x in m.a], "c": list(m.c)}
 
 
+def _decimal_order(n):
+    """The indices 0 <= i < n in the order of their "%06d" texts.  Below
+    10^6 that is range(n).  Above it, an index of six digits is followed by
+    the longer indices whose text it starts (100000, 1000000, 1000001, ...,
+    100001 when n is 1000002)."""
+    if n <= 10 ** 6:
+        yield from range(n)
+        return
+
+    def with_longer(i):
+        yield i
+        for j in range(10 * i, min(10 * i + 10, n)):
+            yield from with_longer(j)
+
+    yield from range(10 ** 5)
+    for i in range(10 ** 5, 10 ** 6):
+        yield from with_longer(i)
+
+
+def _indexed_pairs(ctx, kind, args):
+    """(i, pair i) of the kind's pair sweep, in the order of the keys'
+    "%06d" text, each pair reached by its index.  Exhaustive: pair i is
+    (mods[i // N], mods[i % N]).  Sampled: random_module takes 3f draws, and
+    the PS pairs come before the cuspidal ones in one stream from the seed,
+    so pair i of kind number j starts at draw 6f (j samples + i)."""
+    if args.exhaustive:
+        mods = exhaustive_modules(ctx, kind)
+        count = len(mods)
+        for i in _decimal_order(count * count):
+            yield i, (mods[i // count], mods[i % count])
+        return
+    draws = 6 * ctx.f
+    first = (PS, CUSPIDAL).index(kind) * args.samples
+    for i in _decimal_order(args.samples):
+        rng = SplitMix64(args.seed)
+        rng.skip(draws * (first + i))
+        end = SplitMix64(rng.state)
+        end.skip(draws)
+        pair = random_module(ctx, kind, rng), random_module(ctx, kind, rng)
+        errors.check(rng.state == end.state, "a sampled pair took other than %d draws" % draws)
+        yield i, pair
+
+
 def _pair_items(kind, pairs, trunc):
-    for idx, (m, n) in enumerate(pairs):
+    for idx, (m, n) in pairs:
         hv, ev = hom_dim(m, n), ext_dim(m, n)
         ov, oh = oracle_dims(m, n, trunc)
         yield {
@@ -188,15 +266,8 @@ def cmd_oracle(ctx, args):
         raise errors.RangeError("--samples must be at least 0, got %d" % args.samples)
     if args.trunc is not None and args.trunc < 1:
         raise errors.RangeError("truncation level must be at least 1, got %d" % args.trunc)
-    rng = SplitMix64(args.seed)
-    for kind in (PS, CUSPIDAL):
-        if args.exhaustive:
-            mods = exhaustive_modules(ctx, kind)
-            pairs = ((m, n) for m in mods for n in mods)
-        else:
-            pairs = ((random_module(ctx, kind, rng), random_module(ctx, kind, rng))
-                     for _ in range(args.samples))
-        yield from _pair_items(kind, pairs, args.trunc)
+    # in key order: cusp pairs, kExt rows, ps pairs
+    yield from _pair_items(CUSPIDAL, _indexed_pairs(ctx, CUSPIDAL, args), args.trunc)
     # kExt sweep over every maximal refined shape, both product choices; the
     # ne rows' n has every coefficient gen, whose product is read once per kind
     twists = {}   # kind -> (gen over one period, its product)
@@ -208,13 +279,13 @@ def cmd_oracle(ctx, args):
         twists[kind] = (gen,) * ctx.f, prod
     types = [tau for tau in enumerate_types(ctx, canonical=True) if not tau.is_scalar]
     fill_shape_classes(types)
-    for tau in types:
+    orders = {}
+    for label, tau in _by_label(types, "|"):
         twist_a, prod_ne = twists[tau.kind]
-        label = tau.label()
-        for shape in shapes_for(tau):
+        for text, shape in _keyed_shapes(tau, orders):
             m, n = build_MN(tau, maximal_refined(tau, shape))
             oracles = kext_dim_oracles(m, n, twist_a)
-            prefix = "kext|%s|J=%s|" % (label, _shape_str(shape.J))
+            prefix = "kext|%s|J=%s|" % (label, text)
             for tag, prod_b, ko in zip(("eq", "ne"), (1, prod_ne), oracles):
                 kv = kext_dim(tau, shape, 1, prod_b)
                 # at distinct products kExt vanishes exactly on P_tau, which
@@ -228,30 +299,43 @@ def cmd_oracle(ctx, args):
                     "kext": kv, "kext_oracle": ko,
                     "ok": ok,
                 }
+    yield from _pair_items(PS, _indexed_pairs(ctx, PS, args), args.trunc)
+
+
+def _weight_key(w):
+    return "weight|t=%s|s=%s" % (list(w.t), list(w.s))
 
 
 def cmd_bm(ctx, args):
-    unit_cycles = True
-    for w in all_weights(ctx):
+    # the orthogonality row sorts first and reads every weight's first
+    # elimination order, so pass 1 solves that order for each weight in key
+    # order and holds only the decomposition and whether its cycle is {w: 1};
+    # pass 2 solves the permuted order and yields the weight's row, dropping
+    # what pass 1 held for it so that its space serves the rows that follow
+    # (held to the end, it raised the peak RSS of bm -p 7 -f 2 by 3.6%)
+    weights = sorted(all_weights(ctx), key=_weight_key)
+    first = []
+    for w in weights:
         n = solve_n_tau(ctx, w)
-        cyc = c_sigma_cycle(n)
-        unit = {w: 1}
+        first.append((n, c_sigma_cycle(n) == {w: 1}))
+    # the orthogonality row: w is the cycle of w's decomposition for every w
+    yield {"key": "orthogonality", "ok": all(unit for _, unit in first)}
+    first.reverse()
+    for w in weights:
+        n, unit = first.pop()
         n_perm = solve_n_tau(ctx, w, permute_seed=args.seed or 1)
-        cyc_perm = c_sigma_cycle(n_perm)
-        unit_cycles &= cyc == unit
+        unit_perm = c_sigma_cycle(n_perm) == {w: 1}
         yield {
-            "key": "weight|t=%s|s=%s" % (list(w.t), list(w.s)),
+            "key": _weight_key(w),
             "weight": _weight_json(w),
             "n_tau": [{"type": t.label(), "coeff": v} for t, v in
                       sorted(n.items(), key=lambda kv: kv[0].label())],
-            "unit_cycle": cyc == unit,
-            "unit_cycle_permuted": cyc_perm == unit,
+            "unit_cycle": unit,
+            "unit_cycle_permuted": unit_perm,
             "n_tau_permuted_differs": n_perm != n,
-            "ok": cyc == unit and cyc_perm == unit,
+            "ok": unit and unit_perm,
         }
-    # the orthogonality row: w is the cycle of w's decomposition for every w
-    yield {"key": "orthogonality", "ok": unit_cycles}
-    for tau in enumerate_types(ctx, canonical=True):
+    for label, tau in _by_label(enumerate_types(ctx, canonical=True)):
         z = jh_factors(tau)
         # Z(tau) has multiplicity one, so the character of its weights is its
         # character.  The weight rows check sum_tau n_tau Z(tau) = [w] and
@@ -259,39 +343,41 @@ def cmd_bm(ctx, args):
         # sum_tau n_tau chi(sigma(tau)) = chi(w) holds for every weight with
         # no per-weight check.
         yield {
-            "key": "ztau|%s" % tau.label(),
-            "type": tau.label(),
+            "key": "ztau|%s" % label,
+            "type": label,
             "cycle": _cycle_json(z),
             "ok": weights_character(z) == jh_oracle(tau),
         }
 
 
 def cmd_components(ctx, args):
-    for tau in _selected_types(ctx, args):
+    orders = {}
+    # per type: the J= rows, then count, then cycle
+    for label, tau in _by_label(_selected_types(ctx, args), "|"):
         if tau.is_scalar:
             yield {
-                "key": "%s|count" % tau.label(),
-                "type": tau.label(),
+                "key": "%s|count" % label,
+                "type": label,
                 "components": components_count(tau),
                 "ok": components_count(tau) == 1,
             }
             continue
         supports = set()
-        for shape in shapes_for(tau):
+        for text, shape in _keyed_shapes(tau, orders):
             pattern = dieudonne_pattern(tau, shape)
             support = divisor_support(tau, shape)
             supports.add(tuple(sorted(support)))
             yield {
-                "key": "%s|J=%s" % (tau.label(), _shape_str(shape.J)),
-                "type": tau.label(),
+                "key": "%s|J=%s" % (label, text),
+                "type": label,
                 "J": sorted(shape.J),
                 "pattern": [list(entry) for entry in pattern],
                 "divisor_support": sorted(support),
                 "ok": True,
             }
         yield {
-            "key": "%s|count" % tau.label(),
-            "type": tau.label(),
+            "key": "%s|count" % label,
+            "type": label,
             "components": len(supports),
             "ok": len(supports) == components_count(tau),
         }
@@ -299,8 +385,8 @@ def cmd_components(ctx, args):
         # Brauer-character oracle, as in bm's ztau rows
         z = jh_factors(tau)
         yield {
-            "key": "%s|cycle" % tau.label(),
-            "type": tau.label(),
+            "key": "%s|cycle" % label,
+            "type": label,
             "cycle": _cycle_json(z),
             "ok": weights_character(z) == jh_oracle(tau),
         }
@@ -316,10 +402,10 @@ COMMANDS = {
 }
 
 
-def _render_csv(report, rows):
-    keys = sorted({k for it in rows for k in it})
+def _render_csv(report, chunks):
+    keys = sorted({k for chunk in chunks for it in chunk for k in it})
     lines = [",".join(keys)]
-    for it in rows:
+    for it in (it for chunk in chunks for it in chunk):
         row = []
         for k in keys:
             v = it.get(k, "")
@@ -330,24 +416,25 @@ def _render_csv(report, rows):
     return "\n".join(lines) + "\n"
 
 
-def _render_text(report, rows):
+def _render_text(report, chunks):
     ctx, s = report["context"], report["summary"]
     return "\n".join(["%s  p=%d f=%d e=%d" % (report["command"], ctx["p"], ctx["f"], ctx["e"]),
-                      *rows, "pass=%d fail=%d" % (s["pass"], s["fail"]), ""])
+                      *chunks, "pass=%d fail=%d" % (s["pass"], s["fail"]), ""])
 
 
-def _render_json(report, rows):
-    """_json(report, "") + "\n", with report's items given as rows already
-    rendered at their indentation; the whole text is one join of the rows."""
-    if not rows:
+def _render_json(report, chunks):
+    """_json(report, "") + "\n", with report's items given as chunks of rows
+    already rendered at their indentation and joined; the whole text is one
+    join of the chunks."""
+    if not chunks:
         return _json(dict(report, items=[]), "") + "\n"
     fields = sorted(report)
     at = fields.index("items")
     field = lambda key: "\n  %s: %s" % (_json_str(key), _json(report[key], "  "))
-    rows[0] = "{%s\n  \"items\": [\n    %s" % ("".join(field(k) + "," for k in fields[:at]),
-                                               rows[0])
-    rows[-1] += "\n  ]%s\n}\n" % "".join("," + field(k) for k in fields[at + 1:])
-    return ",\n    ".join(rows)
+    chunks[0] = "{%s\n  \"items\": [\n    %s" % ("".join(field(k) + "," for k in fields[:at]),
+                                                 chunks[0])
+    chunks[-1] += "\n  ]%s\n}\n" % "".join("," + field(k) for k in fields[at + 1:])
+    return _JSON_ROW_SEP.join(chunks)
 
 
 def _memo_put(memo, key, value):
@@ -418,33 +505,48 @@ def _json(obj, pad):
     raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
-# format -> (rendering of one row, renderer of the report from its sorted rows);
-# CSV keeps its rows, because its header is the union of their keys
+_JSON_ROW_SEP = ",\n    "   # between two rendered JSON rows
+
+# format -> (rendering of one row, join of a chunk of rendered rows, renderer
+# of the report from its chunks); CSV keeps its rows, because its header is
+# the union of their keys
 _FORMATS = {
-    "json": (lambda it: _json(it, "    "), _render_json),
+    "json": (lambda it: _json(it, "    "), _JSON_ROW_SEP.join, _render_json),
     "text": (lambda it: "  [%s] %s" % ({True: "ok", False: "FAIL"}.get(it.get("ok"), "-"),
-                                       it["key"]), _render_text),
-    "csv": (lambda it: it, _render_csv),
+                                       it["key"]), "\n".join, _render_text),
+    "csv": (lambda it: it, lambda rows: rows, _render_csv),
 }
 
 
 def render(report, fmt):
-    """The text of report in fmt, with report["items"] (any iterable of rows)
-    sorted by key, and report["summary"] set from those rows.
+    """The text of report in fmt, with report["items"] (an iterable of rows
+    in strictly increasing key order) as its items, and report["summary"]
+    set from those rows.
 
-    Each row is rendered as soon as it arrives and then dropped (CSV keeps
-    it), so only (key, rendered row) pairs are held until the one sort by key.
+    The order is checked, not made: a key that is not greater than the one
+    before it raises InternalError.  Each row is rendered as soon as it
+    arrives and then dropped (CSV keeps it), and every _CHUNK_ROWS rendered
+    rows are joined into one chunk, so only the chunks and the last key are
+    held until the one join of the chunks.
     """
-    render_row, render_report = _FORMATS[fmt]
-    pairs, fails = [], 0
+    render_row, join, render_report = _FORMATS[fmt]
+    chunks, chunk, count, fails, last = [], [], 0, 0, None
     for it in report["items"]:
+        key = it["key"]
+        if count and not key > last:
+            raise errors.InternalError("row key %r does not follow %r" % (key, last))
+        last = key
+        count += 1
         fails += it.get("ok") is False
-        pairs.append((it["key"], render_row(it)))
-    pairs.sort(key=itemgetter(0))
-    rows = [row for _, row in pairs]
-    del pairs   # the keys go before the join
-    report["summary"] = {"pass": len(rows) - fails, "fail": fails, "millis": 0}
-    return render_report(report, rows)
+        chunk.append(render_row(it))
+        if len(chunk) == _CHUNK_ROWS:
+            chunks.append(join(chunk))
+            chunk = []
+    if chunk:
+        chunks.append(join(chunk))
+    chunk = it = None   # the last rows go before the join
+    report["summary"] = {"pass": count - fails, "fail": fails, "millis": 0}
+    return render_report(report, chunks)
 
 
 def build_parser():

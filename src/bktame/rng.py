@@ -5,6 +5,7 @@ seed produces the same stream on every platform and Python version.
 """
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -14,11 +15,16 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
+
+    def skip(self, n):
+        """Advance the stream past n draws of next_u64 without making them:
+        each draw adds the same constant to the state."""
+        self.state = (self.state + n * _GAMMA) & _MASK
 
     def below(self, n):
         """Uniform integer in [0, n) (rejection-free modulo bias is fine here)."""

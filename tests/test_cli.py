@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import glob
@@ -14,6 +15,7 @@ import pytest
 from bktame import (LocalContext, all_weights, cli, enumerate_types, errors, gamma_digits,
                     intlinalg, rankone, shapes, tametypes, weights)
 from bktame.cli import run
+from bktame.rng import SplitMix64
 from definitions import admissible_by_definition
 
 # sha256 of the rendered report; any change to these bytes is a change of output
@@ -112,6 +114,18 @@ def test_types_row_fails_on_a_wrong_digit(monkeypatch):
 def test_bad_input_exits_2(argv, message):
     text, code = run(argv.split())
     assert code == 2 and message in text
+
+
+@pytest.mark.parametrize("selector", ["ps:1_0,0", "scalar:0_1", "ps:+1,0", "ps: 1,0", "ps:1,0 ",
+                                      "cusp:\u0661", "ps:1", "ps:1,0,0", "cusp:", "cusp:1,2"])
+def test_type_selector_takes_only_ascii_digits(selector):
+    # int() would also read an underscore, a sign, spaces and other digits:
+    # ps:1_0,0 selected ps:10,0 and cusp:\u0661 (Arabic-Indic one) cusp:1
+    text, code = run(["types", "-p", "3", "-f", "3", "--type", selector])
+    assert (text, code) == ("error: bad type selector %r\n" % selector, 2)
+    for selector in ("ps:10,0", "scalar:1", "cusp:1"):
+        report, code = run_json(["types", "-p", "3", "-f", "3", "--type", selector])
+        assert code == 0 and [it["key"] for it in report["items"]] == [selector]
 
 
 def test_oracle_refuses_trunc_below_1_before_any_row(monkeypatch):
@@ -390,6 +404,37 @@ def test_every_command_renders_sorted_rows_in_json_and_text(argv):
     assert lines[-2:] == ["pass=%d fail=%d" % (summary["pass"], summary["fail"]), ""]
 
 
+# contexts where the text order of the keys differs from numeric order:
+# shape texts at f = 3 ("{0,1,2}" < "{0,1}"), labels with two-digit residues
+# ("ps:1,10|" < "ps:1,1|"), weight digits of 10 or more at p = 11 and 13
+KEY_ORDER_ARGVS = [
+    *("%s -p 3 -f 3" % c for c in ("types", "ptau", "weights", "components")),
+    *("%s -p 5 -f 2 --ordered" % c for c in ("types", "ptau", "weights", "components")),
+    "bm -p 11 -f 1", "bm -p 13 -f 1",
+    "oracle -p 3 -f 1 -e 2 --exhaustive", "oracle -p 11 -f 1 --samples 50",
+]
+
+
+@pytest.mark.parametrize("argv", KEY_ORDER_ARGVS, ids=lambda argv: argv.replace(" ", "_"))
+def test_every_command_yields_rows_in_strictly_increasing_key_order(argv):
+    # at the generator, not through render, which would refuse the report
+    args = cli.build_parser().parse_args(argv.split())
+    rows = cli.COMMANDS[args.command](LocalContext(args.p, args.f, args.e), args)
+    keys = [it["key"] for it in rows]
+    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("keys", [["a", "c", "b"], ["a", "b", "b"]],
+                         ids=["out_of_order", "duplicate"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_a_row_out_of_key_order_exits_2(monkeypatch, keys, fmt):
+    # render checks the order and does not sort
+    rows = lambda ctx, args: ({"key": key, "ok": True} for key in keys)
+    monkeypatch.setitem(cli.COMMANDS, "types", rows)
+    text, code = run(["types", "-p", "3", "-f", "1", "--format", fmt])
+    assert (text, code) == ("error: row key 'b' does not follow %r\n" % keys[1], 2)
+
+
 def test_rendering_holds_no_item_tree():
     # rows are rendered as they arrive, so the peak is the rendered rows
     # plus the one joined text, not every row dict alongside copies of it
@@ -401,6 +446,27 @@ def test_rendering_holds_no_item_tree():
         tracemalloc.stop()
     assert code == 0
     assert peak <= 3 * len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_render_peak_is_about_two_reports(fmt):
+    # the rendered chunks plus the one text joined from them; holding each
+    # row's key beside its rendered row until a sort cost 2.59 reports in
+    # JSON and 10.93 in text, where rows are short
+    def report(count):
+        rows = ({"key": "row%07d" % i, "ok": True, "value": [i, i + 1]} for i in range(count))
+        return {"command": "synthetic", "echo": {}, "context": {"p": 3, "f": 1, "e": 1},
+                "items": rows}
+
+    cli.render(report(10000), fmt)   # fills the rendering memos
+    tracemalloc.start()
+    try:
+        text = cli.render(report(200000), fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("row0199999") == 1
+    assert peak <= 2.2 * len(text)
 
 
 def test_ptau_report():
@@ -679,6 +745,38 @@ def test_weights_report_has_dimension_checks():
     assert sums and all(it["ok"] for it in sums)
     rows = [it for it in report["items"] if "char_exponent" in it]
     assert all(it["char_exponent"] == it["char_exponent_alpha_route"] for it in rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10 ** 6, 10 ** 6 + 123])
+def test_decimal_order_is_the_order_of_the_key_text(n):
+    assert list(cli._decimal_order(n)) == sorted(range(n), key="%06d".__mod__)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_sampled_pair_i_is_pair_i_of_one_stream(f):
+    # the PS pairs, then the cuspidal pairs, drawn from one stream
+    ctx = LocalContext(3, f, 1)
+    args = argparse.Namespace(exhaustive=False, samples=12, seed=5)
+    rng = SplitMix64(args.seed)
+    for kind in (tametypes.PS, tametypes.CUSPIDAL):
+        stream = [(rankone.random_module(ctx, kind, rng), rankone.random_module(ctx, kind, rng))
+                  for _ in range(args.samples)]
+        assert list(cli._indexed_pairs(ctx, kind, args)) == list(enumerate(stream))
+
+
+def test_a_sampled_pair_off_its_draw_count_exits_2(monkeypatch):
+    # a module that takes one more draw would shift every later pair's
+    # draws; the 6f check refuses the report instead
+    random_module = cli.random_module
+
+    def one_more_draw(ctx, kind, rng):
+        rng.next_u64()
+        return random_module(ctx, kind, rng)
+
+    monkeypatch.setattr(cli, "random_module", one_more_draw)
+    text, code = run(["oracle", "-p", "3", "-f", "1", "--samples", "3"])
+    assert (text, code) == ("error: a sampled pair took other than 6 draws (internal error)\n",
+                            2)
 
 
 def test_oracle_seeded_run_is_byte_identical():
