@@ -45,6 +45,7 @@ _JSON_LEAVES = {str: _json_str, int: int.__repr__, type(None): lambda _: "null",
 _MEMO_CAP = 1 << 12   # entries of each rendering memo
 _LAYOUTS = {}     # (dict keys in insertion order, pad) -> _dict_layout
 _INT_LISTS = {}   # (pad, *items) -> text of a list of exact ints
+_CSV_KEYS = {}    # a CSV row's keys in insertion order -> that tuple, shared
 
 
 def _parse_type_selector(ctx, text):
@@ -309,27 +310,25 @@ def _weight_key(w):
 def cmd_bm(ctx, args):
     # the orthogonality row sorts first and reads every weight's first
     # elimination order, so pass 1 solves that order for each weight in key
-    # order and holds only the decomposition and whether its cycle is {w: 1};
-    # pass 2 solves the permuted order and yields the weight's row, dropping
-    # what pass 1 held for it so that its space serves the rows that follow
-    # (held to the end, it raised the peak RSS of bm -p 7 -f 2 by 3.6%)
+    # order and keeps only whether its cycle is {w: 1}; pass 2 solves the
+    # first order again and the permuted one, and yields the weight's row.
+    # A solve reads one central-character block, so solving again costs less
+    # than holding every decomposition of pass 1 (that raised the peak RSS of
+    # bm -p 3 -f 4 by 6.8%)
     weights = sorted(all_weights(ctx), key=_weight_key)
-    first = []
-    for w in weights:
-        n = solve_n_tau(ctx, w)
-        first.append((n, c_sigma_cycle(n) == {w: 1}))
+    units = [c_sigma_cycle(solve_n_tau(ctx, w)) == {w: 1} for w in weights]
     # the orthogonality row: w is the cycle of w's decomposition for every w
-    yield {"key": "orthogonality", "ok": all(unit for _, unit in first)}
-    first.reverse()
-    for w in weights:
-        n, unit = first.pop()
+    yield {"key": "orthogonality", "ok": all(units)}
+    for w, unit in zip(weights, units):
+        n = solve_n_tau(ctx, w)
         n_perm = solve_n_tau(ctx, w, permute_seed=args.seed or 1)
         unit_perm = c_sigma_cycle(n_perm) == {w: 1}
         yield {
             "key": _weight_key(w),
             "weight": _weight_json(w),
-            "n_tau": [{"type": t.label(), "coeff": v} for t, v in
-                      sorted(n.items(), key=lambda kv: kv[0].label())],
+            # labels are distinct, so the sort never compares coefficients
+            "n_tau": [{"type": label, "coeff": v}
+                      for label, v in sorted((t.label(), v) for t, v in n.items())],
             "unit_cycle": unit,
             "unit_cycle_permuted": unit_perm,
             "n_tau_permuted_differs": n_perm != n,
@@ -402,18 +401,35 @@ COMMANDS = {
 }
 
 
+def _csv_row(it):
+    """A row's keys in insertion order (one tuple per key order, memoised)
+    and its quoted cells in that order."""
+    keys = tuple(it)
+    layout = _CSV_KEYS.get(keys) or _memo_put(_CSV_KEYS, keys, keys)
+    cells = []
+    for v in it.values():
+        if isinstance(v, (dict, list)):
+            v = json.dumps(v, sort_keys=True, separators=(",", ":"))
+        cells.append('"%s"' % str(v).replace('"', '""'))
+    return layout, tuple(cells)
+
+
 def _render_csv(report, chunks):
-    keys = sorted({k for chunk in chunks for it in chunk for k in it})
-    lines = [",".join(keys)]
-    for it in (it for chunk in chunks for it in chunk):
-        row = []
-        for k in keys:
-            v = it.get(k, "")
-            if isinstance(v, (dict, list)):
-                v = json.dumps(v, sort_keys=True, separators=(",", ":"))
-            row.append('"%s"' % str(v).replace('"', '""'))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    """The header, the sorted union of the rows' keys, then each row's cells
+    in header order, "" where a row lacks the key; each chunk of cells is
+    replaced by its text before the next is read."""
+    layouts = {keys for chunk in chunks for keys, _ in chunk}
+    header = sorted({k for keys in layouts for k in keys})
+    picks = {}   # a row's keys -> the index of each header key's cell, or None
+    for n, chunk in enumerate(chunks):
+        lines = []
+        for keys, cells in chunk:
+            pick = picks.get(keys)
+            if pick is None:
+                pick = picks[keys] = [keys.index(k) if k in keys else None for k in header]
+            lines.append(",".join('""' if i is None else cells[i] for i in pick))
+        chunks[n] = "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + "".join(chunks)
 
 
 def _render_text(report, chunks):
@@ -508,13 +524,13 @@ def _json(obj, pad):
 _JSON_ROW_SEP = ",\n    "   # between two rendered JSON rows
 
 # format -> (rendering of one row, join of a chunk of rendered rows, renderer
-# of the report from its chunks); CSV keeps its rows, because its header is
-# the union of their keys
+# of the report from its chunks); CSV keeps each row's keys and cells, because
+# its header is the union of every row's keys
 _FORMATS = {
     "json": (lambda it: _json(it, "    "), _JSON_ROW_SEP.join, _render_json),
     "text": (lambda it: "  [%s] %s" % ({True: "ok", False: "FAIL"}.get(it.get("ok"), "-"),
                                        it["key"]), "\n".join, _render_text),
-    "csv": (lambda it: it, lambda rows: rows, _render_csv),
+    "csv": (_csv_row, lambda rows: rows, _render_csv),
 }
 
 
@@ -525,9 +541,9 @@ def render(report, fmt):
 
     The order is checked, not made: a key that is not greater than the one
     before it raises InternalError.  Each row is rendered as soon as it
-    arrives and then dropped (CSV keeps it), and every _CHUNK_ROWS rendered
-    rows are joined into one chunk, so only the chunks and the last key are
-    held until the one join of the chunks.
+    arrives and then dropped (CSV renders it to its quoted cells), and every
+    _CHUNK_ROWS rendered rows are joined into one chunk, so only the chunks
+    and the last key are held until the one join of the chunks.
     """
     render_row, join, render_report = _FORMATS[fmt]
     chunks, chunk, count, fails, last = [], [], 0, 0, None

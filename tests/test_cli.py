@@ -856,7 +856,9 @@ def test_bm_ztau_row_fails_on_a_wrong_weight_set(monkeypatch):
     assert [it["key"] for it in report["items"] if not it["ok"]] == ["ztau|ps:1,0"]
 
 
-def test_bm_solves_each_weight_once_per_elimination_order(monkeypatch):
+def test_bm_solves_the_first_order_twice_and_the_permuted_order_once(monkeypatch):
+    # pass 1 keeps one unit-cycle flag per weight, so pass 2 solves the first
+    # elimination order again beside the permuted one: 3 solves per weight
     calls = []
     solve = intlinalg.IntegerColumnSolver.solve
 
@@ -867,7 +869,71 @@ def test_bm_solves_each_weight_once_per_elimination_order(monkeypatch):
     monkeypatch.setattr(intlinalg.IntegerColumnSolver, "solve", counting_solve)
     _, code = run("bm -p 3 -f 2 --seed 4 --format csv".split())
     assert code == 0
-    assert len(calls) == 2 * len(all_weights(LocalContext(3, 2, 1))) == 128
+    assert len(calls) == 3 * len(all_weights(LocalContext(3, 2, 1))) == 192
+
+
+def test_bm_factorises_one_block_per_central_character_and_order(monkeypatch):
+    # q - 1 blocks for each of the two elimination orders
+    inits = []
+    init = intlinalg.IntegerColumnSolver.__init__
+
+    def counting_init(self, columns, nrows):
+        inits.append(nrows)
+        init(self, columns, nrows)
+
+    monkeypatch.setattr(intlinalg.IntegerColumnSolver, "__init__", counting_init)
+    weights._bm_system.cache_clear()
+    try:
+        _, code = run("bm -p 3 -f 2 --seed 4".split())
+    finally:
+        weights._bm_system.cache_clear()
+    assert code == 0
+    assert len(inits) == 2 * (9 - 1)
+    assert sum(inits) == 2 * len(all_weights(LocalContext(3, 2, 1)))
+
+
+def test_bm_refuses_a_type_whose_weights_span_two_central_characters(monkeypatch):
+    # the blocks are valid only because every weight of a type has the
+    # type's central character; give ps:1,0 a weight of the other character
+    ctx = LocalContext(3, 1, 1)
+    ps10 = next(tau for tau in enumerate_types(ctx, canonical=True) if tau.label() == "ps:1,0")
+    jh_factors = weights.jh_factors
+    stray = weights.SerreWeight(3, 1, (0,), (0,))
+    assert {w.central_character for w in jh_factors(ps10)} == {1} != {stray.central_character}
+
+    def spanning(tau):
+        return jh_factors(tau) | {stray} if tau == ps10 else jh_factors(tau)
+
+    monkeypatch.setattr(weights, "jh_factors", spanning)
+    weights._bm_system.cache_clear()
+    try:
+        text, code = run(["bm", "-p", "3", "-f", "1"])
+    finally:
+        weights._bm_system.cache_clear()
+    assert (text, code) == ("error: the weights of ps:1,0 span 2 central characters "
+                            "(internal error)\n", 2)
+
+
+def test_csv_render_holds_cells_not_row_trees():
+    # each row becomes its quoted cells as it arrives, and each chunk of
+    # cells becomes text before the next; holding the row dicts until the
+    # end cost about 10.5 reports
+    def report(count):
+        rows = ({"key": "weight%05d" % i, "ok": True,
+                 "n_tau": [{"type": "ps:%d,%d" % (i, j), "coeff": j - 5} for j in range(10)]}
+                for i in range(count))
+        return {"command": "synthetic", "echo": {}, "context": {"p": 3, "f": 1, "e": 1},
+                "items": rows}
+
+    cli.render(report(100), "csv")   # fills the key memo
+    tracemalloc.start()
+    try:
+        text = cli.render(report(5000), "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("weight04999") == 1 and text.startswith("key,n_tau,ok\n")
+    assert peak <= 6 * len(text)
 
 
 def test_components_report():

@@ -10,6 +10,8 @@ from bktame import (CUSPIDAL, PS, LocalContext, NotInPTau, ScalarType,
                     shapes_for, sigma_tau_J, solve_n_tau,
                     verify_orthogonality)
 from bktame import shapes, tametypes, weights
+from bktame.intlinalg import IntegerColumnSolver
+from bktame.rng import SplitMix64
 from bktame.weights import BOTH_IN, BOTH_OUT, GENERIC, INTO_J, UNIT, ZERO
 
 CTX = LocalContext(3, 1, 1)
@@ -247,3 +249,34 @@ def test_c_sigma_cycle_drops_cancelled_weights():
     shared = SerreWeight(3, 1, (1,), (1,))
     assert all(shared in jh_factors(t) for t in n)
     assert c_sigma_cycle(n) == {w: 1}
+
+
+@pytest.mark.parametrize("p, f", [(5, 2), (3, 3)])
+@pytest.mark.parametrize("seed", [None, 4])
+def test_block_solves_equal_one_solver_over_the_whole_matrix(p, f, seed):
+    # one solver over every weight's row and every type's column, in the
+    # elimination order of the seed: the central-character blocks give each
+    # weight the same decomposition, with its types in the same order
+    ctx = LocalContext(p, f, 1)
+    types = enumerate_types(ctx, canonical=True)
+    order = list(range(len(types)))
+    if seed is not None:
+        SplitMix64(seed).shuffle(order)
+    rows = {w: i for i, w in enumerate(all_weights(ctx))}
+    whole = IntegerColumnSolver([{rows[w]: 1 for w in jh_factors(types[j])} for j in order],
+                                len(rows))
+    for w, i in rows.items():
+        combo = whole.solve({i: 1})
+        expect = [(types[order[j]], v) for j, v in sorted(combo.items())]
+        assert list(solve_n_tau(ctx, w, permute_seed=seed).items()) == expect
+
+
+def test_central_character_is_constant_on_each_type():
+    # every Jordan-Holder factor of sigma(tau) has the central character of
+    # sigma(tau): k0 + k0' mod q - 1 for principal series, k0 for cuspidal
+    for p, f in [(3, 2), (5, 2), (3, 3)]:
+        ctx = LocalContext(p, f, 1)
+        qm1 = ctx.q - 1
+        for tau in enumerate_types(ctx, canonical=True):
+            want = (tau.k0 + (tau.k0p if tau.kind == PS else 0)) % qm1
+            assert {w.central_character for w in jh_factors(tau)} == {want}
