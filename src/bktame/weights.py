@@ -119,8 +119,8 @@ def jh_factors(tau):
     check(len(set(weights)) == len(weights), "weights of one type must be distinct")
     # each weight as the context's one object for it: the sets of all types
     # hold no copies (at p=3 f=4, 7 MB for them instead of 18 MB)
-    table = _weight_table(tau.ctx)
-    return frozenset(table.get(w, w) for w in weights)
+    table = _interned(tau.ctx)
+    return frozenset(table.setdefault(w, w) for w in weights)
 
 
 def char_TN(tau, J):
@@ -182,18 +182,28 @@ def components_count(tau):
 
 
 @lru_cache(maxsize=None)
-def _weight_table(ctx):
-    """{w: w} over every non-Steinberg weight, in (t, s) order."""
+def _interned(ctx):
+    """{w: w} over the context's weights made so far: its one object for
+    each.  Filled as weights are met, so one type's weights intern 2^f
+    objects, not the (q - 1)^2 of all_weights."""
+    return {}
+
+
+@lru_cache(maxsize=None)
+def _weight_tuple(ctx):
+    """Every non-Steinberg weight, interned, in (t, s) order."""
     p, f = ctx.p, ctx.f
+    table = _interned(ctx)
     # digit vectors in tuple order, less the last one, all p - 1
     vectors = list(itertools.product(range(p), repeat=f))[:-1]
-    return {w: w for w in (SerreWeight(p, f, t, s) for t in vectors for s in vectors)}
+    return tuple(table.setdefault(w, w) for w in
+                 (SerreWeight(p, f, t, s) for t in vectors for s in vectors))
 
 
 def all_weights(ctx):
     """Every non-Steinberg weight, ordered by (t, s); the weights are made
     once per context."""
-    return list(_weight_table(ctx))
+    return list(_weight_tuple(ctx))
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +220,7 @@ def _bm_system(ctx, permute_seed=None):
     if permute_seed is not None:
         SplitMix64(permute_seed).shuffle(order)
     rows, sizes = {}, {}   # a block's rows in increasing global order
-    for w in _weight_table(ctx):
+    for w in _weight_tuple(ctx):
         char = w.central_character
         rows[w] = char, sizes.get(char, 0)
         sizes[char] = rows[w][1] + 1

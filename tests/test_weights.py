@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -269,6 +270,35 @@ def test_block_solves_equal_one_solver_over_the_whole_matrix(p, f, seed):
         combo = whole.solve({i: 1})
         expect = [(types[order[j]], v) for j, v in sorted(combo.items())]
         assert list(solve_n_tau(ctx, w, permute_seed=seed).items()) == expect
+
+
+@pytest.mark.parametrize("f", [2, 4])
+def test_jh_factors_of_one_type_interns_only_its_own_weights(monkeypatch, f):
+    # one type at p=13, as components --type asks for it: its weights are
+    # interned alone, not beside the 168^2 (f=2) or 28,560^2 (f=4) weights
+    # of all_weights, which take 4.8 MB at f=2 and more than the host at f=4
+    ctx = LocalContext(13, f, 1)
+    tau = make_type(ctx, PS, 1, 0)
+
+    def every_weight(ctx):
+        raise AssertionError("jh_factors of one type built every weight")
+
+    monkeypatch.setattr(weights, "_weight_tuple", every_weight)
+    tracemalloc.start()
+    try:
+        z = jh_factors(tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(weights._interned(ctx)) == len(z) <= 2 ** f
+    assert peak < 1 << 20
+
+
+def test_jh_factors_and_all_weights_share_one_object_per_weight():
+    ctx = LocalContext(3, 2, 1)
+    ids = {id(w) for w in all_weights(ctx)}
+    assert all(id(w) in ids for tau in enumerate_types(ctx, canonical=True)
+               for w in jh_factors(tau))
 
 
 def test_central_character_is_constant_on_each_type():
